@@ -2,7 +2,6 @@ package assign
 
 import (
 	"context"
-	"sort"
 
 	"casc/internal/model"
 )
@@ -32,22 +31,26 @@ func Bounds(in *model.Instance) []WorkerBounds {
 	if B < 2 {
 		return out
 	}
-	coworkers := coCandidateSets(in)
-	qs := make([]float64, 0, 64)
+	walk := newPeerWalk(in)
+	hiK, loK := newTopK(), newTopK()
 	for w := 0; w < nW; w++ {
-		peers := coworkers[w]
+		peers := walk.of(w)
 		if len(peers) < B-1 {
 			continue
 		}
-		qs = qs[:0]
+		hiK.reset(B-1, true)
+		loK.reset(B-1, false)
 		for _, k := range peers {
-			qs = append(qs, in.Quality.Quality(w, k))
+			q := in.Quality.Quality(w, k)
+			hiK.push(q)
+			loK.push(q)
 		}
-		sort.Float64s(qs)
 		var lo, hi float64
-		for i := 0; i < B-1; i++ {
-			lo += qs[i]
-			hi += qs[len(qs)-1-i]
+		for _, q := range loK.vals() {
+			lo += q
+		}
+		for _, q := range hiK.vals() {
+			hi += q
 		}
 		out[w] = WorkerBounds{
 			QHat:     hi / float64(B-1),

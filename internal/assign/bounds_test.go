@@ -15,7 +15,7 @@ func TestBoundsLemmaV2V3(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	in := randomInstance(r, 40, 12, 3)
 	bounds := Bounds(in)
-	co := coCandidateSets(in)
+	co := refCoCandidateSets(in)
 	for w := 0; w < len(in.Workers); w++ {
 		if !bounds[w].Feasible {
 			if len(co[w]) >= in.B-1 {

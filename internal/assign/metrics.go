@@ -88,8 +88,11 @@ func Instrument(s Solver, reg *metrics.Registry) Solver {
 		case *TPG:
 			inner.Metrics = reg
 		}
-	case *instrumented:
+	case *instrumented, *instrumentedForker:
 		return v // already wrapped
+	}
+	if _, ok := s.(Forker); ok {
+		return &instrumentedForker{instrumented{inner: s, reg: reg}}
 	}
 	return &instrumented{inner: s, reg: reg}
 }
@@ -97,6 +100,25 @@ func Instrument(s Solver, reg *metrics.Registry) Solver {
 type instrumented struct {
 	inner Solver
 	reg   *metrics.Registry
+}
+
+// instrumentedForker wraps a Forker. It forwards Fork (instrumenting each
+// fork into the same registry) and SetArena, so the decorators that probe
+// for them — Parallel and the incremental engine — take the same per-
+// component fork-and-arena path with metrics on as with metrics off.
+type instrumentedForker struct{ instrumented }
+
+// Fork implements Forker.
+func (i *instrumentedForker) Fork(seed int64) Solver {
+	return Instrument(i.inner.(Forker).Fork(seed), i.reg)
+}
+
+// SetArena implements ArenaHolder; it is a no-op over a solver without
+// arena support.
+func (i *instrumentedForker) SetArena(ar *Arena) {
+	if h, ok := i.inner.(ArenaHolder); ok {
+		h.SetArena(ar)
+	}
 }
 
 // Name implements Solver.

@@ -1,10 +1,6 @@
 package assign
 
-import (
-	"sort"
-
-	"casc/internal/model"
-)
+import "casc/internal/model"
 
 // Upper computes the UPPER estimate of the paper's experiments: the bound
 // on the total cooperation quality revenue from Equation 9,
@@ -27,21 +23,20 @@ func Upper(in *model.Instance) float64 {
 		return 0
 	}
 	qhat := make([]float64, nW)
-	coworkers := coCandidateSets(in)
-	topQ := make([]float64, 0, 64)
+	walk := newPeerWalk(in)
+	top := newTopK()
 	for w := 0; w < nW; w++ {
-		peers := coworkers[w]
+		peers := walk.of(w)
 		if len(peers) < B-1 {
 			continue // cannot be in any feasible group
 		}
-		topQ = topQ[:0]
+		top.reset(B-1, true)
 		for _, k := range peers {
-			topQ = append(topQ, in.Quality.Quality(w, k))
+			top.push(in.Quality.Quality(w, k))
 		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(topQ)))
 		var sum float64
-		for i := 0; i < B-1; i++ {
-			sum += topQ[i]
+		for _, q := range top.vals() {
+			sum += q
 		}
 		qhat[w] = sum / float64(B-1)
 	}
@@ -54,23 +49,17 @@ func Upper(in *model.Instance) float64 {
 	// term. Ordered-pair sums are already folded into q̂ via Quality being
 	// symmetric in all paper models.
 	var taskSide float64
-	var cq []float64
 	for t := range in.Tasks {
 		cand := in.TaskCand[t]
 		if len(cand) < B {
 			continue
 		}
-		cq = cq[:0]
+		top.reset(min(in.Tasks[t].Capacity, len(cand)), true)
 		for _, w := range cand {
-			cq = append(cq, qhat[w])
+			top.push(qhat[w])
 		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(cq)))
-		take := in.Tasks[t].Capacity
-		if take > len(cq) {
-			take = len(cq)
-		}
-		for i := 0; i < take; i++ {
-			taskSide += cq[i]
+		for _, q := range top.vals() {
+			taskSide += q
 		}
 	}
 
@@ -98,35 +87,28 @@ func UpperTight(in *model.Instance) float64 {
 		return 0
 	}
 	var taskSide float64
-	qs := make([]float64, 0, 64)
-	qhatLocal := make([]float64, 0, 64)
+	pair, local := newTopK(), newTopK()
 	for t := range in.Tasks {
 		cand := in.TaskCand[t]
 		if len(cand) < B {
 			continue
 		}
-		qhatLocal = qhatLocal[:0]
+		local.reset(min(in.Tasks[t].Capacity, len(cand)), true)
 		for _, w := range cand {
-			qs = qs[:0]
+			pair.reset(B-1, true)
 			for _, k := range cand {
 				if k != w {
-					qs = append(qs, in.Quality.Quality(w, k))
+					pair.push(in.Quality.Quality(w, k))
 				}
 			}
-			sort.Sort(sort.Reverse(sort.Float64Slice(qs)))
 			var sum float64
-			for i := 0; i < B-1; i++ {
-				sum += qs[i]
+			for _, q := range pair.vals() {
+				sum += q
 			}
-			qhatLocal = append(qhatLocal, sum/float64(B-1))
+			local.push(sum / float64(B-1))
 		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(qhatLocal)))
-		take := in.Tasks[t].Capacity
-		if take > len(qhatLocal) {
-			take = len(qhatLocal)
-		}
-		for i := 0; i < take; i++ {
-			taskSide += qhatLocal[i]
+		for _, q := range local.vals() {
+			taskSide += q
 		}
 	}
 	global := Upper(in)
@@ -134,29 +116,4 @@ func UpperTight(in *model.Instance) float64 {
 		return taskSide
 	}
 	return global
-}
-
-// coCandidateSets returns, per worker, the sorted distinct workers sharing
-// at least one candidate task with it.
-func coCandidateSets(in *model.Instance) [][]int {
-	nW := len(in.Workers)
-	out := make([][]int, nW)
-	seen := make([]int, nW) // visit stamp per (worker, stamp) pair
-	for i := range seen {
-		seen[i] = -1
-	}
-	for w := 0; w < nW; w++ {
-		var peers []int
-		for _, t := range in.WorkerCand[w] {
-			for _, k := range in.TaskCand[t] {
-				if k != w && seen[k] != w {
-					seen[k] = w
-					peers = append(peers, k)
-				}
-			}
-		}
-		sort.Ints(peers)
-		out[w] = peers
-	}
-	return out
 }

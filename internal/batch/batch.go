@@ -446,7 +446,7 @@ func (s *sim) run(ctx context.Context) (*Result, error) {
 		for _, p := range pending {
 			in.Tasks = append(in.Tasks, p.task)
 		}
-		in.Quality = coop.NewSubset(asCoopModel(s.quality), ids)
+		in.Quality = coop.NewSubset(s.quality, ids)
 		in.BuildCandidates(cfg.Index)
 		build := time.Since(buildStart)
 
@@ -708,7 +708,7 @@ func (s *sim) runIncremental(ctx context.Context) (*Result, error) {
 		for i, w := range in.Workers {
 			ids[i] = w.ID
 		}
-		in.Quality = coop.NewSubset(asCoopModel(s.quality), ids)
+		in.Quality = coop.NewSubset(s.quality, ids)
 		build := time.Since(buildStart)
 
 		start := time.Now()
@@ -781,15 +781,6 @@ func maxf(a, b float64) float64 {
 	}
 	return b
 }
-
-// asCoopModel adapts model.QualityModel to coop.Model (identical method
-// sets; the indirection exists only because model must not import coop).
-func asCoopModel(q model.QualityModel) coop.Model { return coopAdapter{q} }
-
-type coopAdapter struct{ q model.QualityModel }
-
-func (c coopAdapter) Quality(i, k int) float64 { return c.q.Quality(i, k) }
-func (c coopAdapter) NumWorkers() int          { return c.q.NumWorkers() }
 
 // GeneratorSource adapts per-round generator functions to Source.
 type GeneratorSource struct {

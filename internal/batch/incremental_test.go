@@ -290,3 +290,38 @@ func TestNoopRoundsShortCircuit(t *testing.T) {
 		t.Fatalf("ran %d rounds, want 12", len(res.Batches))
 	}
 }
+
+func TestIncrementalMetricsDoNotChangeSolve(t *testing.T) {
+	// assign.Instrument must forward Fork and SetArena: the incremental
+	// engine forks per component (with per-component seeds and its arena)
+	// only when the solver can fork, so a wrapper that hid them would make
+	// enabling metrics change the solve path. RAND exposes that through its
+	// seeds; GT through the arena path.
+	for _, mk := range []func() assign.Solver{
+		func() assign.Solver { return assign.NewGT(assign.GTOptions{LUB: true, Epsilon: 0.01}) },
+		func() assign.Solver { return assign.NewRandom(9) },
+	} {
+		t.Run(mk().Name(), func(t *testing.T) {
+			run := func(reg *metrics.Registry) *Result {
+				t.Helper()
+				cfg := Config{Solver: mk(), Rounds: 12, B: 3, ServiceDuration: 2, Incremental: true, Seed: 3, Metrics: reg}
+				res, err := Run(context.Background(), cfg, churnSource(12, 7))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			plain, metered := run(nil), run(metrics.NewRegistry())
+			if len(plain.Batches) != len(metered.Batches) {
+				t.Fatalf("batch counts differ: %d vs %d", len(plain.Batches), len(metered.Batches))
+			}
+			for i := range plain.Batches {
+				p, m := plain.Batches[i], metered.Batches[i]
+				if math.Float64bits(p.Score) != math.Float64bits(m.Score) ||
+					p.DispatchedTasks != m.DispatchedTasks || p.AssignedWorkers != m.AssignedWorkers {
+					t.Fatalf("round %d: metrics off %+v, metrics on %+v", i, p, m)
+				}
+			}
+		})
+	}
+}
