@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"casc/internal/game"
 	"casc/internal/model"
 )
 
@@ -65,7 +66,38 @@ func TestGTSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		if s.Name() == "GT" {
+			a, err := s.Solve(ctx, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireCrowdOutEvaluated(t, in, a, s.Stats)
+		}
 	}
+}
+
+// requireCrowdOutEvaluated asserts that a plain-GT solve ran the crowd-out
+// evaluation (GroupScore.BestSwap), so the zero-allocation claim covers it.
+// Eager dynamics stop at a Nash equilibrium only after a round that
+// evaluates every worker's every candidate task, so a full task in the
+// result with a candidate worker outside it was scored as a crowd-out in
+// that round.
+func requireCrowdOutEvaluated(t *testing.T, in *model.Instance, a *model.Assignment, st game.Result) {
+	t.Helper()
+	if st.Reason != game.StopNash {
+		t.Fatalf("GT stopped by %q, want %q", st.Reason, game.StopNash)
+	}
+	for tk, ws := range a.TaskWorkers {
+		if len(ws) < in.Tasks[tk].Capacity {
+			continue
+		}
+		for _, w := range in.TaskCand[tk] {
+			if a.WorkerTask[w] != tk {
+				return
+			}
+		}
+	}
+	t.Fatal("no full task has an outside candidate: the instance never reaches the crowd-out path")
 }
 
 // TestThrowawayArenaStillWorks covers the nil-arena path: same code, fresh

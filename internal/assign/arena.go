@@ -7,12 +7,12 @@ import (
 
 // Arena is the reusable scratch memory of one solver's hot path. TPG and GT
 // draw every per-solve buffer — the result assignment, the per-task
-// GroupScores, the stage-one bitsets and flat B-set slots, the stage-two
-// heap, and the best-response engine's queues — from here, so a solver that
-// keeps one arena across solves reaches a zero-allocation steady state: the
-// first solve of a size regime grows the buffers, subsequent solves only
-// re-slice them (asserted by TestTPGSteadyStateAllocs / BenchEntry
-// AllocsPerOp gating).
+// GroupScores and their cross-sum caches, the stage-one bitsets and flat
+// B-set slots, the stage-two heap, and the best-response engine's queues —
+// from here, so a solver that keeps one arena across solves reaches a
+// zero-allocation steady state: the first solve of a size regime grows the
+// buffers, subsequent solves only re-slice them (asserted by
+// TestTPGSteadyStateAllocs / BenchEntry AllocsPerOp gating).
 //
 // The arena never changes what a solve computes — every buffer is fully
 // re-initialized before use, so an arena-backed solve is bitwise identical
@@ -49,6 +49,10 @@ type Arena struct {
 	candCount []int
 	version   []int
 	groups    []*model.GroupScore
+
+	// Flat GroupScore scratch: task t's cross-sum cache and BestSwap row,
+	// 2·groupSlot(in, t) floats carved in task order (see groupsFor).
+	groupStore []float64
 
 	// Flat B-set storage: bestSet[t] is filled in place from the slot
 	// setStore[t*stride : t*stride+stride], stride = Instance.B.
@@ -111,11 +115,32 @@ func (ar *Arena) groupsFor(in *model.Instance) []*model.GroupScore {
 	for len(ar.groups) < n {
 		ar.groups = append(ar.groups, &model.GroupScore{})
 	}
+	need := 0
+	for t := 0; t < n; t++ {
+		need += 2 * groupSlot(in, t)
+	}
+	if cap(ar.groupStore) < need {
+		ar.groupStore = make([]float64, need)
+		ar.grows++
+	}
 	gs := ar.groups[:n]
+	off := 0
 	for t := range gs {
-		gs[t].Reset(in, in.Tasks[t].Capacity)
+		k := 2 * groupSlot(in, t)
+		gs[t].Reset(in, in.Tasks[t].Capacity, ar.groupStore[off:off+k:off+k])
+		off += k
 	}
 	return gs
+}
+
+// groupSlot is the most members task t's group can hold: its capacity, or
+// its candidate count when that is smaller. A group that outgrows its slot
+// (no candidates built) stays correct and grows its own storage.
+func groupSlot(in *model.Instance, t int) int {
+	if t >= len(in.TaskCand) {
+		return 0
+	}
+	return max(0, min(in.Tasks[t].Capacity, len(in.TaskCand[t])))
 }
 
 // boolsFor resizes *buf to n elements, all set to fill.

@@ -72,8 +72,7 @@ type GT struct {
 	Arena *Arena
 	// inner runs the Algorithm 3 line 1 TPG initialization on the shared
 	// arena. Held by value so the solver allocates it exactly once; its
-	// Metrics stay nil — the initialization's counters are not flushed, as
-	// before.
+	// counters are flushed under this solver's label by recordMetrics.
 	inner TPG
 }
 
@@ -129,18 +128,16 @@ func (s *GT) solve(ctx context.Context, in *model.Instance, warm *Warm) (*model.
 	}
 	reuses0, grows0 := ar.reuses, ar.grows
 	var a *model.Assignment
+	var init *tpgCounters
 	if s.opts.RandomInit {
 		ar.begin()
 		a = randomInit(in, s.opts.Seed)
 	} else {
-		// The initialization shares the arena; its solve calls ar.begin(),
-		// so the reuse statistics count one solve for the whole GT run.
-		s.inner.Arena = ar
-		init, err := s.inner.solve(ctx, in, warm)
-		if err != nil {
-			return nil, err
-		}
-		a = init
+		// The initialization shares the arena; run calls ar.begin(), so the
+		// reuse statistics count one solve for the whole GT run.
+		var c tpgCounters
+		a = s.inner.run(ctx, in, warm, ar, &c)
+		init = &c
 	}
 	if ctx.Err() != nil {
 		return a, nil
@@ -164,14 +161,18 @@ func (s *GT) solve(ctx context.Context, in *model.Instance, warm *Warm) (*model.
 		}
 	}
 	s.Stats = game.Run(g, gopts)
-	s.recordMetrics(len(in.Workers), ar.reuses-reuses0, ar.grows-grows0)
+	s.recordMetrics(init, len(in.Workers), ar.reuses-reuses0, ar.grows-grows0)
 	return g.assignmentInto(ar), nil
 }
 
-// recordMetrics flushes the last run's dynamics counters into Metrics.
-func (s *GT) recordMetrics(players int, arenaReuses, arenaGrows uint64) {
+// recordMetrics flushes the last run's TPG initialization counters (nil
+// under RandomInit) and dynamics counters into Metrics.
+func (s *GT) recordMetrics(init *tpgCounters, players int, arenaReuses, arenaGrows uint64) {
 	if s.Metrics == nil {
 		return
+	}
+	if init != nil {
+		init.record(s.Metrics, s.Name())
 	}
 	lbl := metrics.L("solver", s.Name())
 	s.Metrics.Counter(MetricGTRounds, "Best-response rounds run.", lbl).Add(uint64(s.Stats.Rounds))
@@ -252,30 +253,30 @@ func newCASCGame(in *model.Instance, init *model.Assignment) *cascGame {
 // NumPlayers implements game.Game.
 func (g *cascGame) NumPlayers() int { return len(g.cur) }
 
-// moveGain returns the potential (= total cooperation score) change of
-// moving worker w to task t, together with the member that must be evicted
-// when t is full (-1 when none). For non-crowding moves the potential
-// change equals the utility change of Equation 5 because the game is an
-// exact potential game (Theorem V.1); for crowding moves we use the
-// potential change directly, which keeps the dynamics monotone and
-// convergent (DESIGN.md §4.3).
-func (g *cascGame) moveGain(w, t int) (gain float64, evict int) {
-	leaveLoss := 0.0
+// leaveLoss returns ΔQ(w, t) of Equation 4 for w's current task t — what
+// w's group loses when w leaves — or 0 when w is unassigned.
+func (g *cascGame) leaveLoss(w int) float64 {
 	if ct := g.cur[w]; ct != model.Unassigned {
-		leaveLoss = g.groups[ct].LeaveDelta(w)
+		return g.groups[ct].LeaveDelta(w)
 	}
+	return 0
+}
+
+// moveGain returns the potential (= total cooperation score) change of
+// moving worker w, whose leaveLoss is given, to task t, together with the
+// member that must be evicted when t is full (-1 when none). For
+// non-crowding moves the potential change equals the utility change of
+// Equation 5 because the game is an exact potential game (Theorem V.1);
+// for crowding moves we use the potential change directly, which keeps the
+// dynamics monotone and convergent (DESIGN.md §4.3).
+func (g *cascGame) moveGain(w, t int, leaveLoss float64) (gain float64, evict int) {
 	grp := g.groups[t]
 	if grp.Len() < grp.Capacity() {
 		return grp.JoinDelta(w) - leaveLoss, -1
 	}
 	// Full task: joining must crowd out the member whose replacement by w
 	// yields the best resulting quality (Theorems V.3/V.4 semantics).
-	bestDelta, bestOut := 0.0, -1
-	for _, out := range grp.Members() {
-		if d := grp.SwapDelta(out, w); bestOut < 0 || d > bestDelta {
-			bestDelta, bestOut = d, out
-		}
-	}
+	bestDelta, bestOut := grp.BestSwap(w)
 	return bestDelta - leaveLoss, bestOut
 }
 
@@ -286,8 +287,9 @@ func (g *cascGame) BestResponse(w int) (int, float64, bool) {
 	bestS, bestGain := stratNone, 0.0
 	// Option: leave the current task entirely. Gain = -(LeaveDelta), which
 	// is positive when the worker's presence lowers its group's quality.
-	if ct := g.cur[w]; ct != model.Unassigned {
-		if gain := -g.groups[ct].LeaveDelta(w); gain > bestGain {
+	leaveLoss := g.leaveLoss(w)
+	if g.cur[w] != model.Unassigned {
+		if gain := -leaveLoss; gain > bestGain {
 			bestS, bestGain = len(cand), gain
 		}
 	}
@@ -295,7 +297,7 @@ func (g *cascGame) BestResponse(w int) (int, float64, bool) {
 		if t == g.cur[w] {
 			continue
 		}
-		gain, _ := g.moveGain(w, t)
+		gain, _ := g.moveGain(w, t, leaveLoss)
 		if gain > bestGain {
 			bestS, bestGain = si, gain
 		}
@@ -335,7 +337,7 @@ func (g *cascGame) Apply(w, strategy int) []int {
 		// Crowd out the best-replacement member (recomputed here; the group
 		// may have changed since BestResponse ran under eager dynamics, but
 		// within one engine step it has not).
-		_, out := g.moveGain(w, t)
+		_, out := grp.BestSwap(w)
 		if out >= 0 {
 			grp.Leave(out)
 			g.cur[out] = model.Unassigned

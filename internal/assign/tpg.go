@@ -82,33 +82,39 @@ func (s *TPG) solve(ctx context.Context, in *model.Instance, warm *Warm) (*model
 		ar = NewArena()
 	}
 	reuses0, grows0 := ar.reuses, ar.grows
+	var c tpgCounters
+	a := s.run(ctx, in, warm, ar, &c)
+	if s.Metrics != nil {
+		c.record(s.Metrics, s.Name())
+		recordArenaMetrics(s.Metrics, s.Name(), ar.reuses-reuses0, ar.grows-grows0)
+	}
+	return a, nil
+}
+
+// run is one TPG solve on ar, counting into c. It opens the arena's solve
+// (ar.begin), so a GT run that starts with it counts as one solve.
+func (s *TPG) run(ctx context.Context, in *model.Instance, warm *Warm, ar *Arena, c *tpgCounters) *model.Assignment {
 	ar.begin()
 	a := ar.assignmentFor(in)
 	groups := ar.groupsFor(in)
 	avail := ar.boolsFor(&ar.avail, len(in.Workers), true)
-	var c tpgCounters
-	served := s.stageOne(ctx, in, a, groups, avail, ar, &c, warm)
+	served := s.stageOne(ctx, in, a, groups, avail, ar, c, warm)
 	if ctx.Err() == nil {
-		s.stageTwo(ctx, in, a, groups, avail, served, ar, &c)
+		s.stageTwo(ctx, in, a, groups, avail, served, ar, c)
 	}
-	s.recordMetrics(&c, ar.reuses-reuses0, ar.grows-grows0)
-	return a, nil
+	return a
 }
 
-// recordMetrics flushes the accumulated counters into Metrics.
-func (s *TPG) recordMetrics(c *tpgCounters, arenaReuses, arenaGrows uint64) {
-	if s.Metrics == nil {
-		return
-	}
-	lbl := metrics.L("solver", s.Name())
-	s.Metrics.Counter(MetricTPGSubsetRefreshes, "Stage-one best-B-subset recomputations.", lbl).Add(c.subsetRefreshes)
-	s.Metrics.Counter(MetricTPGSubsetSkips, "Stage-one iterations that reused a cached subset.", lbl).Add(c.subsetSkips)
-	s.Metrics.Counter(MetricTPGHeapPushes, "Stage-two heap pushes.", lbl).Add(c.heapPushes)
-	s.Metrics.Counter(MetricTPGHeapPops, "Stage-two heap pops.", lbl).Add(c.heapPops)
-	s.Metrics.Counter(MetricTPGStaleReevals, "Stage-two stale deltas re-evaluated.", lbl).Add(c.staleReevals)
-	s.Metrics.Counter(MetricTPGWarmHits, "Stage-one iteration-0 subsets served from the warm cache.", lbl).Add(c.warmHits)
-	s.Metrics.Counter(MetricTPGWarmMisses, "Stage-one iteration-0 subsets recomputed into the warm cache.", lbl).Add(c.warmMisses)
-	recordArenaMetrics(s.Metrics, s.Name(), arenaReuses, arenaGrows)
+// record flushes the counters into reg under the given solver label.
+func (c *tpgCounters) record(reg *metrics.Registry, solver string) {
+	lbl := metrics.L("solver", solver)
+	reg.Counter(MetricTPGSubsetRefreshes, "Stage-one best-B-subset recomputations.", lbl).Add(c.subsetRefreshes)
+	reg.Counter(MetricTPGSubsetSkips, "Stage-one iterations that reused a cached subset.", lbl).Add(c.subsetSkips)
+	reg.Counter(MetricTPGHeapPushes, "Stage-two heap pushes.", lbl).Add(c.heapPushes)
+	reg.Counter(MetricTPGHeapPops, "Stage-two heap pops.", lbl).Add(c.heapPops)
+	reg.Counter(MetricTPGStaleReevals, "Stage-two stale deltas re-evaluated.", lbl).Add(c.staleReevals)
+	reg.Counter(MetricTPGWarmHits, "Stage-one iteration-0 subsets served from the warm cache.", lbl).Add(c.warmHits)
+	reg.Counter(MetricTPGWarmMisses, "Stage-one iteration-0 subsets recomputed into the warm cache.", lbl).Add(c.warmMisses)
 }
 
 // recordArenaMetrics flushes one solve's arena reuse/grow deltas.

@@ -8,6 +8,7 @@ import (
 
 	"casc/internal/coop"
 	"casc/internal/geo"
+	"casc/internal/metrics"
 	"casc/internal/model"
 )
 
@@ -182,5 +183,49 @@ func TestTPGDirtyCacheMatchesNaiveRecompute(t *testing.T) {
 				t.Fatalf("trial %d: nondeterministic TPG at pair %d", trial, i)
 			}
 		}
+	}
+}
+
+// TestGTFlushesTPGInitCounters pins the metrics of GT's Algorithm 3 line 1
+// TPG initialization: every casc_tpg_* family reads what a standalone TPG
+// solve of the same instance reads, under GT's own solver label, while the
+// arena the two stages share is still counted once per GT solve.
+func TestGTFlushesTPGInitCounters(t *testing.T) {
+	in := steadyStateInstance(t)
+	ctx := context.Background()
+	tpgReg, gtReg := metrics.NewRegistry(), metrics.NewRegistry()
+	tpg := &TPG{Metrics: tpgReg, Arena: NewArena()}
+	gt := &GT{opts: GTOptions{LUB: true, Epsilon: 0.01}, Metrics: gtReg, Arena: NewArena()}
+	for i := 0; i < 2; i++ {
+		if _, err := tpg.Solve(ctx, in); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gt.Solve(ctx, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts, gs := tpgReg.Snapshot(), gtReg.Snapshot()
+	tpgLbl, gtLbl := metrics.L("solver", tpg.Name()), metrics.L("solver", gt.Name())
+	for _, name := range []string{
+		MetricTPGSubsetRefreshes, MetricTPGSubsetSkips, MetricTPGHeapPushes,
+		MetricTPGHeapPops, MetricTPGStaleReevals, MetricTPGWarmHits, MetricTPGWarmMisses,
+	} {
+		want, ok := ts.Counter(name, tpgLbl)
+		if !ok {
+			t.Fatalf("TPG did not record %s", name)
+		}
+		got, ok := gs.Counter(name, gtLbl)
+		if !ok || got != want {
+			t.Errorf("%s{solver=%q} = %d (recorded %v), want %d as in a TPG solve", name, gt.Name(), got, ok, want)
+		}
+	}
+	if n, _ := gs.Counter(MetricTPGSubsetRefreshes, gtLbl); n == 0 {
+		t.Error("GT recorded no stage-one subset refreshes")
+	}
+	if n, _ := gs.Counter(MetricArenaReuses, gtLbl); n != 1 {
+		t.Errorf("%s = %d over two GT solves on one arena, want 1", MetricArenaReuses, n)
+	}
+	if n, _ := gs.Counter(MetricArenaGrows, gtLbl); n != gt.Arena.grows {
+		t.Errorf("%s = %d, arena grew %d times", MetricArenaGrows, n, gt.Arena.grows)
 	}
 }

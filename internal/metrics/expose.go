@@ -60,7 +60,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, c := range f.sortedChildren() {
+		for _, c := range r.sortedChildren(f) {
 			switch m := c.metric.(type) {
 			case *Counter:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, labelString(c.labels), m.Value())

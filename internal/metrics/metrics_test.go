@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"encoding/json"
+	"io"
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -151,6 +153,36 @@ func TestConcurrentUpdates(t *testing.T) {
 	wantSum := float64(goroutines) * perG / 4 * (0 + 0.25 + 0.5 + 0.75)
 	if math.Abs(hs.Sum-wantSum) > 1e-6 {
 		t.Fatalf("histogram sum = %v, want %v", hs.Sum, wantSum)
+	}
+}
+
+// TestConcurrentCreateAndRead adds children to an existing family while
+// other goroutines snapshot and expose the registry; run under -race.
+func TestConcurrentCreateAndRead(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("hits_total", "")
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func(id int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				r.Counter("hits_total", "", L("k", strconv.Itoa(id*1000+j))).Inc()
+			}
+		}(i)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				r.Snapshot()
+				if err := r.WriteText(io.Discard); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(r.Snapshot().Counters); n != 1+4*200 {
+		t.Fatalf("%d counters, want %d", n, 1+4*200)
 	}
 }
 

@@ -131,7 +131,11 @@ func (r *Registry) sortedFamilies() []*family {
 	return out
 }
 
-func (f *family) sortedChildren() []*child {
+// sortedChildren holds the read lock because lookup adds children to
+// existing families under the write lock.
+func (r *Registry) sortedChildren(f *family) []*child {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	sigs := make([]string, 0, len(f.children))
 	for sig := range f.children {
 		sigs = append(sigs, sig)
@@ -239,7 +243,7 @@ func labelMap(labels []Label) map[string]string {
 func (r *Registry) Snapshot() *Snapshot {
 	snap := &Snapshot{}
 	for _, f := range r.sortedFamilies() {
-		for _, c := range f.sortedChildren() {
+		for _, c := range r.sortedChildren(f) {
 			switch m := c.metric.(type) {
 			case *Counter:
 				snap.Counters = append(snap.Counters, CounterSnapshot{

@@ -78,11 +78,22 @@ func (in *Instance) DeltaQuality(w int, ws []int, capacity int) float64 {
 // GroupScore incrementally tracks the ordered-pair quality sum S of one
 // task's worker set so Q and join/leave deltas cost O(|W|) instead of
 // O(|W|^2). It is the workhorse of the GT solver's inner loop.
+//
+// Reads fill a per-member cross-sum cache (see crossSums), so even the
+// read-only methods mutate the group: one GroupScore must not be read
+// concurrently.
 type GroupScore struct {
 	in       *Instance
 	capacity int
 	members  []int
 	pairSum  float64 // Σ_i Σ_{k≠i} q_i(w_k) over current members
+	// cross[i] is crossSum(members[i]) while cached is set. Join, Leave and
+	// Reset drop the whole cache rather than patch it: an incremental
+	// update would add in a different order and change the float bits.
+	cross  []float64
+	cached bool
+	// row is BestSwap's per-call scratch.
+	row []float64
 }
 
 // NewGroupScore returns an empty accumulator for a task with the given
@@ -94,12 +105,20 @@ func (in *Instance) NewGroupScore(capacity int) *GroupScore {
 // Reset re-points the accumulator at a (possibly different) instance and
 // capacity and empties it, keeping the member slice's storage. It exists so
 // the solver scratch arena can recycle GroupScores across solves without
-// allocating.
-func (g *GroupScore) Reset(in *Instance, capacity int) {
+// allocating. A non-nil scratch backs the cross-sum cache and BestSwap's
+// row: each gets one half, so groups of up to len(scratch)/2 members
+// evaluate without allocating. A nil scratch keeps the group's own storage.
+func (g *GroupScore) Reset(in *Instance, capacity int, scratch []float64) {
 	g.in = in
 	g.capacity = capacity
 	g.members = g.members[:0]
 	g.pairSum = 0
+	g.cached = false
+	if scratch != nil {
+		k := len(scratch) / 2
+		g.cross = scratch[:0:k]
+		g.row = scratch[k:k:len(scratch)]
+	}
 }
 
 // Members returns the current member slice (not a copy; do not mutate).
@@ -112,13 +131,15 @@ func (g *GroupScore) Len() int { return len(g.members) }
 func (g *GroupScore) Capacity() int { return g.capacity }
 
 // Contains reports whether worker w is a member.
-func (g *GroupScore) Contains(w int) bool {
-	for _, m := range g.members {
+func (g *GroupScore) Contains(w int) bool { return g.indexOf(w) >= 0 }
+
+func (g *GroupScore) indexOf(w int) int {
+	for i, m := range g.members {
 		if m == w {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // crossSum returns Σ_{k ∈ members} (q_w(k) + q_k(w)), the ordered-pair mass
@@ -131,6 +152,27 @@ func (g *GroupScore) crossSum(w int) float64 {
 		}
 	}
 	return s
+}
+
+// crossSums returns the cache, cross[i] = crossSum(members[i]), filling it
+// in one pass on the first read after a mutation.
+func (g *GroupScore) crossSums() []float64 {
+	if !g.cached {
+		g.cross = g.cross[:0]
+		for _, m := range g.members {
+			g.cross = append(g.cross, g.crossSum(m))
+		}
+		g.cached = true
+	}
+	return g.cross
+}
+
+// memberCross returns crossSum(w), from the cache when w is a member.
+func (g *GroupScore) memberCross(w int) float64 {
+	if i := g.indexOf(w); i >= 0 {
+		return g.crossSums()[i]
+	}
+	return g.crossSum(w)
 }
 
 func (g *GroupScore) qOf(n int, pairSum float64) float64 {
@@ -160,14 +202,14 @@ func (g *GroupScore) JoinDelta(w int) float64 {
 // LeaveDelta returns Q(W) − Q(W \ {w}), i.e. ΔQ(w, t) of Equation 4, for a
 // current member w.
 func (g *GroupScore) LeaveDelta(w int) float64 {
-	newSum := g.pairSum - g.crossSum(w)
+	newSum := g.pairSum - g.memberCross(w)
 	return g.Q() - g.qOf(len(g.members)-1, newSum)
 }
 
 // SwapDelta returns the change in Q when member out is replaced by
 // non-member in: Q(W \ {out} ∪ {in}) − Q(W).
 func (g *GroupScore) SwapDelta(out, in int) float64 {
-	sum := g.pairSum - g.crossSum(out)
+	sum := g.pairSum - g.memberCross(out)
 	// crossSum of `in` against members-without-out.
 	var cs float64
 	for _, m := range g.members {
@@ -177,6 +219,36 @@ func (g *GroupScore) SwapDelta(out, in int) float64 {
 	}
 	sum += cs
 	return g.qOf(len(g.members), sum) - g.Q()
+}
+
+// BestSwap returns the best crowd-out move for non-member in: the largest
+// SwapDelta(out, in) over members out and that member, the first maximising
+// member winning ties (out is -1 for an empty group). It looks up the row
+// x[j] = q_in(m_j) + q_{m_j}(in) once, 2|W| lookups, instead of once per
+// out. Each delta sums x[j] over j ≠ out from 0 in member order, the exact
+// addition sequence of SwapDelta, so it returns the same bits.
+func (g *GroupScore) BestSwap(in int) (delta float64, out int) {
+	g.row = g.row[:0]
+	for _, m := range g.members {
+		g.row = append(g.row, g.in.Quality.Quality(in, m)+g.in.Quality.Quality(m, in))
+	}
+	cross := g.crossSums()
+	q := g.Q()
+	out = -1
+	var pre float64 // x[0] + … + x[o-1]: the shared prefix of every later sum
+	for o, m := range g.members {
+		cs := pre
+		for _, x := range g.row[o+1:] {
+			cs += x
+		}
+		pre += g.row[o]
+		sum := g.pairSum - cross[o]
+		sum += cs
+		if d := g.qOf(len(g.members), sum) - q; out < 0 || d > delta {
+			delta, out = d, m
+		}
+	}
+	return delta, out
 }
 
 // Join adds worker w. It panics if w is already a member or the group is at
@@ -190,31 +262,19 @@ func (g *GroupScore) Join(w int) {
 	}
 	g.pairSum += g.crossSum(w)
 	g.members = append(g.members, w)
+	g.cached = false
 }
 
-// Leave removes member w. It panics if w is not a member.
+// Leave removes member w. It panics if w is not a member. The pair sum
+// drops by w's cross-sum over the remaining members in their new order,
+// not by the cached value, which was summed in the old order.
 func (g *GroupScore) Leave(w int) {
-	for i, m := range g.members {
-		if m == w {
-			g.members[i] = g.members[len(g.members)-1]
-			g.members = g.members[:len(g.members)-1]
-			g.pairSum -= g.crossSum(w)
-			return
-		}
+	i := g.indexOf(w)
+	if i < 0 {
+		panic("model: worker not in group")
 	}
-	panic("model: worker not in group")
-}
-
-// Recompute rebuilds the pair sum from scratch; used by tests to verify the
-// incremental bookkeeping.
-func (g *GroupScore) Recompute() {
-	var sum float64
-	for a := 0; a < len(g.members); a++ {
-		for b := 0; b < len(g.members); b++ {
-			if a != b {
-				sum += g.in.Quality.Quality(g.members[a], g.members[b])
-			}
-		}
-	}
-	g.pairSum = sum
+	g.members[i] = g.members[len(g.members)-1]
+	g.members = g.members[:len(g.members)-1]
+	g.pairSum -= g.crossSum(w)
+	g.cached = false
 }
