@@ -63,6 +63,11 @@ type Arena struct {
 	cands  []int
 	scored scoredCands
 
+	// Stage-one seed-pair runners-up: task t's ranked list is
+	// seeds[t*seedTop : t*seedTop+seedLen[t]] (see scanSeeds).
+	seeds   []seedPair
+	seedLen []int
+
 	// Stage-two lazy heap.
 	pairs pairHeap
 
@@ -205,6 +210,25 @@ func (ar *Arena) setSlot(t int) []int {
 	return ar.setStore[off : off : off+ar.setStride]
 }
 
+// seedsFor readies the per-task seed-pair lists for n tasks, all empty.
+func (ar *Arena) seedsFor(n int) {
+	if need := n * seedTop; cap(ar.seeds) < need {
+		ar.seeds = make([]seedPair, need)
+		ar.grows++
+	}
+	ar.seeds = ar.seeds[:n*seedTop]
+	ar.seedLen = ar.intsFor(&ar.seedLen, n)
+	for t := range ar.seedLen {
+		ar.seedLen[t] = 0
+	}
+}
+
+// seedSlot returns task t's full seed-pair slot of seedTop entries.
+func (ar *Arena) seedSlot(t int) []seedPair {
+	off := t * seedTop
+	return ar.seeds[off : off+seedTop : off+seedTop]
+}
+
 // nextEpoch readies the chosenMark buffer for nWorkers and opens a fresh
 // mark epoch: entries stamped with the returned value are "in the current
 // set", everything older is free. This replaces a per-call map without any
@@ -260,6 +284,13 @@ func (ar *Arena) gameFor(in *model.Instance, init *model.Assignment) *cascGame {
 	for w := range g.cur {
 		g.cur[w] = model.Unassigned
 	}
+	g.taskStamp = ar.intsFor(&g.taskStamp, len(in.Tasks))
+	if cap(g.memo) < len(in.Workers) {
+		g.memo = make([]brMemo, len(in.Workers))
+		ar.grows++
+	}
+	g.memo = g.memo[:len(in.Workers)]
+	g.resetMemo()
 	g.affected = g.affected[:0]
 	for t, ws := range init.TaskWorkers {
 		for _, w := range ws {

@@ -633,24 +633,41 @@ func TestArenaWarmEquivalence(t *testing.T) {
 	}
 }
 
+// fuzzGTVariants are the GT variants FuzzArenaEquivalence selects from.
+var fuzzGTVariants = []GTOptions{
+	{},
+	{LUB: true},
+	{Epsilon: 0.01},
+	{GainPriority: true},
+	{RandomInit: true, Seed: 7},
+}
+
 // FuzzArenaEquivalence drives random instance shapes through arena-backed
 // TPG and GT (persistent arena per fuzz process) and requires bitwise
-// equality with the pre-arena reference implementations.
+// equality with the pre-arena reference implementations. tied swaps in
+// tiedQuality, whose frequent ties make the first-maximiser order decide
+// both the seed pair of TPG stage one and GT's best responses; variant
+// picks the GT variant from fuzzGTVariants.
 func FuzzArenaEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(10), uint8(2), false)
-	f.Add(int64(2), uint8(90), uint8(25), uint8(3), true)
-	f.Add(int64(3), uint8(5), uint8(2), uint8(2), false)
-	f.Add(int64(4), uint8(120), uint8(3), uint8(3), true)
+	f.Add(int64(1), uint8(40), uint8(10), uint8(2), false, uint8(0))
+	f.Add(int64(2), uint8(90), uint8(25), uint8(3), true, uint8(1))
+	f.Add(int64(3), uint8(5), uint8(2), uint8(2), false, uint8(2))
+	f.Add(int64(4), uint8(120), uint8(3), uint8(3), true, uint8(3))
+	f.Add(int64(5), uint8(70), uint8(12), uint8(3), true, uint8(4))
+	f.Add(int64(6), uint8(60), uint8(8), uint8(2), false, uint8(1))
 	tpg := NewTPG()
 	tpg.SetArena(NewArena())
-	gt := NewGT(GTOptions{LUB: true})
+	gt := NewGT(GTOptions{})
 	gt.SetArena(NewArena())
-	f.Fuzz(func(t *testing.T, seed int64, nw, nt, b uint8, lub bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nw, nt, b uint8, tied bool, variant uint8) {
 		nW := 4 + int(nw)
 		nT := 1 + int(nt)%40
 		B := 2 + int(b)%2
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstance(r, nW, nT, B)
+		if tied {
+			in.Quality = tiedQuality(len(in.Workers))
+		}
 		ctx := context.Background()
 
 		got, err := tpg.Solve(ctx, in)
@@ -660,13 +677,13 @@ func FuzzArenaEquivalence(f *testing.F) {
 		ref := refTPGSolve(ctx, NewTPG(), in)
 		requireBitwiseEqualFuzz(t, in, got, ref, "TPG")
 
-		opts := GTOptions{LUB: lub}
+		opts := fuzzGTVariants[int(variant)%len(fuzzGTVariants)]
 		gt.opts = opts
 		gotGT, err := gt.Solve(ctx, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireBitwiseEqualFuzz(t, in, gotGT, refGTSolve(ctx, opts, in), "GT")
+		requireBitwiseEqualFuzz(t, in, gotGT, refGTSolve(ctx, opts, in), gt.Name())
 	})
 }
 

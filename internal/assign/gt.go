@@ -161,13 +161,13 @@ func (s *GT) solve(ctx context.Context, in *model.Instance, warm *Warm) (*model.
 		}
 	}
 	s.Stats = game.Run(g, gopts)
-	s.recordMetrics(init, len(in.Workers), ar.reuses-reuses0, ar.grows-grows0)
+	s.recordMetrics(init, len(in.Workers), g.memoHits, ar.reuses-reuses0, ar.grows-grows0)
 	return g.assignmentInto(ar), nil
 }
 
 // recordMetrics flushes the last run's TPG initialization counters (nil
 // under RandomInit) and dynamics counters into Metrics.
-func (s *GT) recordMetrics(init *tpgCounters, players int, arenaReuses, arenaGrows uint64) {
+func (s *GT) recordMetrics(init *tpgCounters, players int, memoHits, arenaReuses, arenaGrows uint64) {
 	if s.Metrics == nil {
 		return
 	}
@@ -177,8 +177,9 @@ func (s *GT) recordMetrics(init *tpgCounters, players int, arenaReuses, arenaGro
 	lbl := metrics.L("solver", s.Name())
 	s.Metrics.Counter(MetricGTRounds, "Best-response rounds run.", lbl).Add(uint64(s.Stats.Rounds))
 	s.Metrics.Counter(MetricGTSwaps, "Strategy switches applied.", lbl).Add(uint64(s.Stats.Moves))
-	s.Metrics.Counter(MetricGTBestResponses, "Best-response evaluations performed.", lbl).
+	s.Metrics.Counter(MetricGTBestResponses, "Best-response calls, memo hits included.", lbl).
 		Add(uint64(s.Stats.BestResponseCalls))
+	s.Metrics.Counter(MetricGTMemoHits, "Best-response calls answered from the per-worker memo.", lbl).Add(memoHits)
 	if s.opts.LUB {
 		if full := s.Stats.Rounds * players; full > s.Stats.BestResponseCalls {
 			s.Metrics.Counter(MetricGTPrunedBestResponses,
@@ -225,6 +226,23 @@ type cascGame struct {
 	// affected is Apply's reusable output buffer; the engine consumes it
 	// before the next Apply, so one buffer per game suffices.
 	affected []int
+
+	// Best-response memo (see BestResponse). clock counts the group
+	// mutations Apply makes; taskStamp[t] is the clock value of task t's
+	// last Join or Leave, and memo[w] the result of w's last evaluation
+	// with the clock value it was computed at.
+	clock     int
+	taskStamp []int
+	memo      []brMemo
+	memoHits  uint64
+}
+
+// brMemo is one worker's memoised BestResponse result: stamp < 0 marks it
+// empty, and strategy stratNone a result with no improving strategy.
+type brMemo struct {
+	stamp    int
+	gain     float64
+	strategy int
 }
 
 const stratNone = -1
@@ -234,10 +252,13 @@ const stratNone = -1
 // evaluation, tests) where the game outlives any solver arena.
 func newCASCGame(in *model.Instance, init *model.Assignment) *cascGame {
 	g := &cascGame{
-		in:     in,
-		groups: newGroups(in),
-		cur:    make([]int, len(in.Workers)),
+		in:        in,
+		groups:    newGroups(in),
+		cur:       make([]int, len(in.Workers)),
+		taskStamp: make([]int, len(in.Tasks)),
+		memo:      make([]brMemo, len(in.Workers)),
 	}
+	g.resetMemo()
 	for w := range g.cur {
 		g.cur[w] = model.Unassigned
 	}
@@ -248,6 +269,23 @@ func newCASCGame(in *model.Instance, init *model.Assignment) *cascGame {
 		}
 	}
 	return g
+}
+
+// resetMemo empties every worker's memo and zeroes the task stamps.
+func (g *cascGame) resetMemo() {
+	g.clock, g.memoHits = 0, 0
+	for t := range g.taskStamp {
+		g.taskStamp[t] = 0
+	}
+	for w := range g.memo {
+		g.memo[w] = brMemo{stamp: -1}
+	}
+}
+
+// touch records a Join or Leave on task t's group.
+func (g *cascGame) touch(t int) {
+	g.clock++
+	g.taskStamp[t] = g.clock
 }
 
 // NumPlayers implements game.Game.
@@ -282,7 +320,46 @@ func (g *cascGame) moveGain(w, t int, leaveLoss float64) (gain float64, evict in
 
 // BestResponse implements game.Game. Strategy encoding: 0..len(cand)-1 are
 // the worker's candidate tasks, len(cand) is "no task".
+//
+// The result depends only on cur[w] and the groups of w's candidate tasks,
+// and cur[w] is one of those tasks or none: every change to it is a Join
+// or Leave on one of those groups. So a memoised result is returned
+// unchanged while none of them has been touched since it was computed: the
+// same bits a fresh evaluation would produce.
 func (g *cascGame) BestResponse(w int) (int, float64, bool) {
+	m := &g.memo[w]
+	if g.memoCurrent(w) {
+		g.memoHits++
+		if m.strategy == stratNone {
+			return 0, 0, false
+		}
+		return m.strategy, m.gain, true
+	}
+	s, gain, improving := g.bestResponse(w)
+	*m = brMemo{stamp: g.clock, gain: gain, strategy: stratNone}
+	if improving {
+		m.strategy = s
+	}
+	return s, gain, improving
+}
+
+// memoCurrent reports whether w's memo is filled and none of w's candidate
+// tasks has been touched since it was computed.
+func (g *cascGame) memoCurrent(w int) bool {
+	m := &g.memo[w]
+	if m.stamp < 0 {
+		return false
+	}
+	for _, t := range g.in.WorkerCand[w] {
+		if g.taskStamp[t] > m.stamp {
+			return false
+		}
+	}
+	return true
+}
+
+// bestResponse evaluates BestResponse(w) from the current groups.
+func (g *cascGame) bestResponse(w int) (int, float64, bool) {
 	cand := g.in.WorkerCand[w]
 	bestS, bestGain := stratNone, 0.0
 	// Option: leave the current task entirely. Gain = -(LeaveDelta), which
@@ -320,6 +397,7 @@ func (g *cascGame) Apply(w, strategy int) []int {
 	leave := func() {
 		if ct := g.cur[w]; ct != model.Unassigned {
 			g.groups[ct].Leave(w)
+			g.touch(ct)
 			g.cur[w] = model.Unassigned
 			g.affected = append(g.affected, g.in.TaskCand[ct]...)
 		}
@@ -340,12 +418,14 @@ func (g *cascGame) Apply(w, strategy int) []int {
 		_, out := grp.BestSwap(w)
 		if out >= 0 {
 			grp.Leave(out)
+			g.touch(t)
 			g.cur[out] = model.Unassigned
 			g.affected = append(g.affected, out)
 		}
 	}
 	leave()
 	grp.Join(w)
+	g.touch(t)
 	g.cur[w] = t
 	g.affected = append(g.affected, g.in.TaskCand[t]...)
 	return g.affected

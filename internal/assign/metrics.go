@@ -24,9 +24,15 @@ const (
 	MetricGTRounds = "casc_gt_rounds_total"
 	// MetricGTSwaps counts strategy switches applied (GT family).
 	MetricGTSwaps = "casc_gt_swaps_total"
-	// MetricGTBestResponses counts utility maximizations performed; with
-	// LUB this stays well below players×rounds — the pruning shows here.
+	// MetricGTBestResponses counts best-response calls, memo hits
+	// included; with LUB this stays well below players×rounds — the
+	// pruning shows here.
 	MetricGTBestResponses = "casc_gt_best_response_calls_total"
+	// MetricGTMemoHits counts best-response calls answered from the
+	// per-worker memo because none of the worker's candidate tasks changed
+	// since its last evaluation (GT family; a subset of
+	// MetricGTBestResponses).
+	MetricGTMemoHits = "casc_gt_best_response_memo_hits_total"
 	// MetricGTPrunedBestResponses counts best-response evaluations the LUB
 	// dirty-set tracking skipped (players×rounds − calls, clamped at 0).
 	MetricGTPrunedBestResponses = "casc_gt_lub_pruned_best_responses_total"
@@ -48,6 +54,10 @@ const (
 	// MetricTPGSubsetSkips counts stage-one iterations that reused a
 	// cached best B-subset instead of recomputing it (TPG prune hits).
 	MetricTPGSubsetSkips = "casc_tpg_subset_skips_total"
+	// MetricTPGSeedReuses counts stage-one subset refreshes whose seed pair
+	// came from the task's ranked runners-up list instead of a full pair
+	// scan (TPG).
+	MetricTPGSeedReuses = "casc_tpg_seed_reuses_total"
 	// MetricTPGWarmHits / MetricTPGWarmMisses count stage-one iteration-0
 	// subsets served from (or recomputed into) a cross-round Warm cache
 	// (TPG under SolveWarm).

@@ -209,6 +209,7 @@ func TestGTFlushesTPGInitCounters(t *testing.T) {
 	for _, name := range []string{
 		MetricTPGSubsetRefreshes, MetricTPGSubsetSkips, MetricTPGHeapPushes,
 		MetricTPGHeapPops, MetricTPGStaleReevals, MetricTPGWarmHits, MetricTPGWarmMisses,
+		MetricTPGSeedReuses,
 	} {
 		want, ok := ts.Counter(name, tpgLbl)
 		if !ok {

@@ -9,6 +9,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"casc/internal/geo"
 )
@@ -22,6 +23,23 @@ type Worker struct {
 	Speed  float64   // v_i: moving speed (space units per time unit)
 	Radius float64   // r_i: working-area radius
 	Arrive float64   // ϕ_i: timestamp the worker came to the system
+}
+
+// CheckWorkerInput validates a worker's registration inputs: finite
+// coordinates and a finite, non-negative speed and radius. Ordered
+// comparisons alone let NaN through, and a non-finite location would reach
+// the float-to-int cell conversions of the spatial indexes.
+func CheckWorkerInput(loc geo.Point, speed, radius float64) error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case !finite(loc.X) || !finite(loc.Y):
+		return fmt.Errorf("non-finite worker location (%v, %v)", loc.X, loc.Y)
+	case !finite(speed) || speed < 0:
+		return fmt.Errorf("worker speed %v is not finite and non-negative", speed)
+	case !finite(radius) || radius < 0:
+		return fmt.Errorf("worker radius %v is not finite and non-negative", radius)
+	}
+	return nil
 }
 
 // Task is a spatial task (Definition 2).

@@ -182,8 +182,8 @@ func (p *Platform) syncGauges() {
 
 // RegisterWorker adds an available worker and returns its ID.
 func (p *Platform) RegisterWorker(loc geo.Point, speed, radius float64) (int, error) {
-	if speed < 0 || radius < 0 {
-		return 0, fmt.Errorf("server: negative speed or radius")
+	if err := model.CheckWorkerInput(loc, speed, radius); err != nil {
+		return 0, fmt.Errorf("server: %w", err)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

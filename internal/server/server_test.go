@@ -483,3 +483,38 @@ func TestSolveBudgetExhaustedReturns503(t *testing.T) {
 		t.Errorf("exhausted request dispatched %d tasks", st.DispatchedTasks)
 	}
 }
+
+func TestRegisterWorkerRejectsNonFinite(t *testing.T) {
+	// NaN and ±Inf in each coordinate, the speed and the radius, plus
+	// negative values.
+	bad := []struct {
+		name          string
+		loc           geo.Point
+		speed, radius float64
+	}{
+		{"NaN x", geo.Pt(math.NaN(), 0.5), 0.1, 0.2},
+		{"NaN y", geo.Pt(0.5, math.NaN()), 0.1, 0.2},
+		{"+Inf x", geo.Pt(math.Inf(1), 0.5), 0.1, 0.2},
+		{"-Inf y", geo.Pt(0.5, math.Inf(-1)), 0.1, 0.2},
+		{"NaN speed", geo.Pt(0.5, 0.5), math.NaN(), 0.2},
+		{"+Inf speed", geo.Pt(0.5, 0.5), math.Inf(1), 0.2},
+		{"negative speed", geo.Pt(0.5, 0.5), -1, 0.2},
+		{"NaN radius", geo.Pt(0.5, 0.5), 0.1, math.NaN()},
+		{"+Inf radius", geo.Pt(0.5, 0.5), 0.1, math.Inf(1)},
+		{"negative radius", geo.Pt(0.5, 0.5), 0.1, -0.2},
+	}
+	p := newTestPlatform(t)
+	for _, tc := range bad {
+		if _, err := p.RegisterWorker(tc.loc, tc.speed, tc.radius); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// Rejections consume no ID and leave no worker behind.
+	id, err := p.RegisterWorker(geo.Pt(0.5, 0.5), 0, 0)
+	if err != nil || id != 0 {
+		t.Fatalf("first valid registration: id %d, err %v; want id 0", id, err)
+	}
+	if st := p.Status(); st.AvailableWorkers != 1 {
+		t.Fatalf("%d available workers, want 1", st.AvailableWorkers)
+	}
+}

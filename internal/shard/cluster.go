@@ -253,8 +253,8 @@ func (c *Cluster) route(loc geo.Point) int {
 
 // RegisterWorker adds an available worker and returns its cluster-unique ID.
 func (c *Cluster) RegisterWorker(loc geo.Point, speed, radius float64) (int, error) {
-	if speed < 0 || radius < 0 {
-		return 0, fmt.Errorf("shard: negative speed or radius")
+	if err := model.CheckWorkerInput(loc, speed, radius); err != nil {
+		return 0, fmt.Errorf("shard: %w", err)
 	}
 	id := int(c.nextWorkerID.Add(1) - 1)
 	c.shards[c.route(loc)].addWorker(model.Worker{

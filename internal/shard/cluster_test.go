@@ -303,3 +303,42 @@ func TestClusterConcurrentHammer(t *testing.T) {
 		t.Errorf("workers accounted = %d, want %d", total, want)
 	}
 }
+
+func TestRegisterWorkerRejectsNonFinite(t *testing.T) {
+	bad := []struct {
+		name          string
+		loc           geo.Point
+		speed, radius float64
+	}{
+		{"NaN x", geo.Pt(math.NaN(), 0.5), 0.1, 0.2},
+		{"NaN y", geo.Pt(0.5, math.NaN()), 0.1, 0.2},
+		{"+Inf x", geo.Pt(math.Inf(1), 0.5), 0.1, 0.2},
+		{"-Inf y", geo.Pt(0.5, math.Inf(-1)), 0.1, 0.2},
+		{"NaN speed", geo.Pt(0.5, 0.5), math.NaN(), 0.2},
+		{"+Inf speed", geo.Pt(0.5, 0.5), math.Inf(1), 0.2},
+		{"negative speed", geo.Pt(0.5, 0.5), -1, 0.2},
+		{"NaN radius", geo.Pt(0.5, 0.5), 0.1, math.NaN()},
+		{"+Inf radius", geo.Pt(0.5, 0.5), 0.1, math.Inf(1)},
+		{"negative radius", geo.Pt(0.5, 0.5), 0.1, -0.2},
+	}
+	for _, k := range []int{1, 3} {
+		c := newTestCluster(t, k)
+		for _, tc := range bad {
+			if _, err := c.RegisterWorker(tc.loc, tc.speed, tc.radius); err == nil {
+				t.Errorf("K=%d %s: accepted", k, tc.name)
+			}
+		}
+		// Rejections consume no ID, reach no shard, and leave the cluster
+		// able to run a batch.
+		id, err := c.RegisterWorker(geo.Pt(0.5, 0.5), 0, 0)
+		if err != nil || id != 0 {
+			t.Fatalf("K=%d: first valid registration: id %d, err %v; want id 0", k, id, err)
+		}
+		if st := c.Status(); st.AvailableWorkers != 1 {
+			t.Fatalf("K=%d: %d available workers, want 1", k, st.AvailableWorkers)
+		}
+		if _, err := c.RunBatch(context.Background(), "GT"); err != nil {
+			t.Fatalf("K=%d: batch after rejected registrations: %v", k, err)
+		}
+	}
+}
