@@ -30,7 +30,6 @@ type Worker struct {
 // comparisons alone let NaN through, and a non-finite location would reach
 // the float-to-int cell conversions of the spatial indexes.
 func CheckWorkerInput(loc geo.Point, speed, radius float64) error {
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	switch {
 	case !finite(loc.X) || !finite(loc.Y):
 		return fmt.Errorf("non-finite worker location (%v, %v)", loc.X, loc.Y)
@@ -41,6 +40,23 @@ func CheckWorkerInput(loc geo.Point, speed, radius float64) error {
 	}
 	return nil
 }
+
+// CheckTaskInput validates a task's posting inputs: finite coordinates and
+// a finite deadline. A NaN deadline would pass an ordered "deadline <= now"
+// check and then never expire; the location has the same cell-conversion
+// hazard as a worker's. Whether the deadline lies in the future is the
+// caller's check, against its own clock.
+func CheckTaskInput(loc geo.Point, deadline float64) error {
+	switch {
+	case !finite(loc.X) || !finite(loc.Y):
+		return fmt.Errorf("non-finite task location (%v, %v)", loc.X, loc.Y)
+	case !finite(deadline):
+		return fmt.Errorf("task deadline %v is not finite", deadline)
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Task is a spatial task (Definition 2).
 type Task struct {

@@ -300,8 +300,7 @@ func (p *Platform) registerAdmin(mux *http.ServeMux) {
 			return
 		}
 		var req WorkerRequest
-		if err := decode(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !Decode(w, r, &req) {
 			return
 		}
 		if err := p.UpdateWorker(id, geo.Pt(req.X, req.Y), req.Speed, req.Radius); err != nil {

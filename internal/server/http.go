@@ -94,13 +94,25 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// MaxBodyBytes bounds every JSON request body the HTTP tiers read.
+const MaxBodyBytes = 1 << 20
+
+// Decode reads r's JSON body into v, rejecting unknown fields and bodies
+// over MaxBodyBytes. On failure it writes the error response — 413 for an
+// oversized body, 400 otherwise — and returns false. Both HTTP tiers
+// decode every request body through it.
+func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		status := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("bad request body: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 // WorkerRequest is the POST /workers body.
@@ -113,8 +125,7 @@ type WorkerRequest struct {
 
 func (p *Platform) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var req WorkerRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !Decode(w, r, &req) {
 		return
 	}
 	id, err := p.RegisterWorker(geo.Pt(req.X, req.Y), req.Speed, req.Radius)
@@ -135,8 +146,7 @@ type TaskRequest struct {
 
 func (p *Platform) handlePostTask(w http.ResponseWriter, r *http.Request) {
 	var req TaskRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !Decode(w, r, &req) {
 		return
 	}
 	id, err := p.PostTask(geo.Pt(req.X, req.Y), req.Capacity, req.Deadline)
@@ -169,8 +179,7 @@ type PairJSON struct {
 
 func (p *Platform) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !Decode(w, r, &req) {
 		return
 	}
 	if req.Solver == "" {
@@ -221,8 +230,7 @@ type RatingRequest struct {
 
 func (p *Platform) handleRate(w http.ResponseWriter, r *http.Request) {
 	var req RatingRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !Decode(w, r, &req) {
 		return
 	}
 	if err := p.RateTask(req.TaskID, req.Score); err != nil {

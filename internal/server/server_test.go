@@ -518,3 +518,78 @@ func TestRegisterWorkerRejectsNonFinite(t *testing.T) {
 		t.Fatalf("%d available workers, want 1", st.AvailableWorkers)
 	}
 }
+
+func TestPostTaskRejectsNonFinite(t *testing.T) {
+	// NaN and ±Inf in each coordinate and the deadline. A NaN deadline
+	// passes the "deadline <= now" test, so it needs its own check.
+	bad := []struct {
+		name     string
+		loc      geo.Point
+		deadline float64
+	}{
+		{"NaN x", geo.Pt(math.NaN(), 0.5), 5},
+		{"NaN y", geo.Pt(0.5, math.NaN()), 5},
+		{"+Inf x", geo.Pt(math.Inf(1), 0.5), 5},
+		{"-Inf y", geo.Pt(0.5, math.Inf(-1)), 5},
+		{"NaN deadline", geo.Pt(0.5, 0.5), math.NaN()},
+		{"+Inf deadline", geo.Pt(0.5, 0.5), math.Inf(1)},
+		{"-Inf deadline", geo.Pt(0.5, 0.5), math.Inf(-1)},
+	}
+	p := newTestPlatform(t)
+	for _, tc := range bad {
+		if _, err := p.PostTask(tc.loc, 2, tc.deadline); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// Rejections consume no ID and leave no task behind.
+	id, err := p.PostTask(geo.Pt(0.5, 0.5), 2, 5)
+	if err != nil || id != 0 {
+		t.Fatalf("first valid post: id %d, err %v; want id 0", id, err)
+	}
+	if st := p.Status(); st.OpenTasks != 1 {
+		t.Fatalf("%d open tasks, want 1", st.OpenTasks)
+	}
+}
+
+// postRaw sends body verbatim and returns the status code.
+func postRaw(t *testing.T, srv *httptest.Server, path, body string) int {
+	t.Helper()
+	resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+func TestHTTPPostTaskRejectsBadBodies(t *testing.T) {
+	p := newTestPlatform(t)
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	// JSON has no NaN or Inf; out-of-range numbers are its way in.
+	for _, body := range []string{
+		`{"x":1e999,"y":0.5,"capacity":2,"deadline":5}`,
+		`{"x":0.5,"y":0.5,"capacity":2,"deadline":1e999}`,
+	} {
+		if code := postRaw(t, srv, "/tasks", body); code != http.StatusBadRequest {
+			t.Errorf("POST /tasks %s: %d, want 400", body, code)
+		}
+	}
+	// A valid task padded past MaxBodyBytes is refused unread; the same
+	// padding under the limit is accepted.
+	pad := func(n int) string {
+		return `{"x":0.5,"y":0.5,` + strings.Repeat(" ", n) + `"capacity":2,"deadline":5}`
+	}
+	if code := postRaw(t, srv, "/tasks", pad(MaxBodyBytes)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST /tasks: %d, want 413", code)
+	}
+	if st := p.Status(); st.OpenTasks != 0 {
+		t.Fatalf("rejected bodies left %d open tasks", st.OpenTasks)
+	}
+	if code := postRaw(t, srv, "/tasks", pad(1024)); code != http.StatusCreated {
+		t.Errorf("padded POST /tasks under the limit: %d, want 201", code)
+	}
+	if st := p.Status(); st.OpenTasks != 1 {
+		t.Fatalf("%d open tasks, want 1", st.OpenTasks)
+	}
+}

@@ -266,6 +266,9 @@ func (c *Cluster) RegisterWorker(loc geo.Point, speed, radius float64) (int, err
 // PostTask adds an open task and returns its cluster-unique ID. Deadline is
 // absolute platform time.
 func (c *Cluster) PostTask(loc geo.Point, capacity int, deadline float64) (int, error) {
+	if err := model.CheckTaskInput(loc, deadline); err != nil {
+		return 0, fmt.Errorf("shard: %w", err)
+	}
 	if capacity < c.b {
 		return 0, fmt.Errorf("shard: capacity %d below B=%d", capacity, c.b)
 	}

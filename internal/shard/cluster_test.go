@@ -342,3 +342,39 @@ func TestRegisterWorkerRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+func TestPostTaskRejectsNonFinite(t *testing.T) {
+	bad := []struct {
+		name     string
+		loc      geo.Point
+		deadline float64
+	}{
+		{"NaN x", geo.Pt(math.NaN(), 0.5), 5},
+		{"NaN y", geo.Pt(0.5, math.NaN()), 5},
+		{"+Inf x", geo.Pt(math.Inf(1), 0.5), 5},
+		{"-Inf y", geo.Pt(0.5, math.Inf(-1)), 5},
+		{"NaN deadline", geo.Pt(0.5, 0.5), math.NaN()},
+		{"+Inf deadline", geo.Pt(0.5, 0.5), math.Inf(1)},
+		{"-Inf deadline", geo.Pt(0.5, 0.5), math.Inf(-1)},
+	}
+	for _, k := range []int{1, 3} {
+		c := newTestCluster(t, k)
+		for _, tc := range bad {
+			if _, err := c.PostTask(tc.loc, 3, tc.deadline); err == nil {
+				t.Errorf("K=%d %s: accepted", k, tc.name)
+			}
+		}
+		// Rejections consume no ID, reach no shard, and leave the cluster
+		// able to run a batch.
+		id, err := c.PostTask(geo.Pt(0.5, 0.5), 3, 5)
+		if err != nil || id != 0 {
+			t.Fatalf("K=%d: first valid post: id %d, err %v; want id 0", k, id, err)
+		}
+		if st := c.Status(); st.OpenTasks != 1 {
+			t.Fatalf("K=%d: %d open tasks, want 1", k, st.OpenTasks)
+		}
+		if _, err := c.RunBatch(context.Background(), "GT"); err != nil {
+			t.Fatalf("K=%d: batch after rejected posts: %v", k, err)
+		}
+	}
+}

@@ -116,19 +116,9 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
-}
-
 func (c *Cluster) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var req server.WorkerRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !server.Decode(w, r, &req) {
 		return
 	}
 	id, err := c.RegisterWorker(geo.Pt(req.X, req.Y), req.Speed, req.Radius)
@@ -141,8 +131,7 @@ func (c *Cluster) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 
 func (c *Cluster) handlePostTask(w http.ResponseWriter, r *http.Request) {
 	var req server.TaskRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !server.Decode(w, r, &req) {
 		return
 	}
 	id, err := c.PostTask(geo.Pt(req.X, req.Y), req.Capacity, req.Deadline)
@@ -164,8 +153,7 @@ type BatchResponse struct {
 
 func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req server.BatchRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !server.Decode(w, r, &req) {
 		return
 	}
 	if req.Solver == "" {
@@ -207,8 +195,7 @@ func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (c *Cluster) handleRate(w http.ResponseWriter, r *http.Request) {
 	var req server.RatingRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !server.Decode(w, r, &req) {
 		return
 	}
 	if err := c.RateTask(req.TaskID, req.Score); err != nil {

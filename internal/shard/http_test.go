@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"casc/internal/server"
 )
 
 func postJSON(t *testing.T, srv *httptest.Server, path, body string) (*http.Response, map[string]any) {
@@ -171,5 +173,37 @@ func TestHTTPBadRequests(t *testing.T) {
 	qresp.Body.Close()
 	if qresp.StatusCode != http.StatusBadRequest {
 		t.Errorf("GET /quality with bad params: %d, want 400", qresp.StatusCode)
+	}
+}
+
+func TestHTTPRejectsOversizedBody(t *testing.T) {
+	c := newTestCluster(t, 2)
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	// A valid task padded past the body limit is refused unread; the same
+	// padding under the limit is accepted.
+	pad := func(n int) string {
+		return `{"x":0.5,"y":0.5,` + strings.Repeat(" ", n) + `"capacity":3,"deadline":5}`
+	}
+	resp, _ := postJSON(t, srv, "/tasks", pad(server.MaxBodyBytes))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST /tasks: %d, want 413", resp.StatusCode)
+	}
+	for _, body := range []string{
+		`{"x":1e999,"y":0.5,"capacity":3,"deadline":5}`,
+		`{"x":0.5,"y":0.5,"capacity":3,"deadline":1e999}`,
+	} {
+		if resp, _ := postJSON(t, srv, "/tasks", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /tasks %s: %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if st := c.Status(); st.OpenTasks != 0 {
+		t.Fatalf("rejected bodies left %d open tasks", st.OpenTasks)
+	}
+	if resp, _ := postJSON(t, srv, "/tasks", pad(1024)); resp.StatusCode != http.StatusCreated {
+		t.Errorf("padded POST /tasks under the limit: %d, want 201", resp.StatusCode)
+	}
+	if st := c.Status(); st.OpenTasks != 1 {
+		t.Fatalf("%d open tasks, want 1", st.OpenTasks)
 	}
 }
