@@ -1,7 +1,8 @@
 // Command casc-lint runs the CASC static-analysis suite (internal/analysis)
-// over the module: ten stdlib-only analyzers enforcing the determinism,
+// over the module: stdlib-only analyzers enforcing the determinism,
 // cancellation, memory-ownership and metrics invariants the solver stack
-// depends on.
+// depends on, and that every internal/ export is reached from non-test
+// code (`casc-lint -list` prints the rules).
 //
 // Usage:
 //
@@ -82,7 +83,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	diags := analysis.Run(pkgs, analysis.Options{Rules: rules})
+	nested, err := loader.LoadNestedModules()
+	if err != nil {
+		return fail(err)
+	}
+	diags := analysis.Run(pkgs, analysis.Options{Rules: rules, Context: nested})
 	diags = filterPatterns(root, diags, fs.Args())
 	for i := range diags {
 		if rel, err := filepath.Rel(root, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {

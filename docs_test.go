@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"casc/internal/analysis"
 )
 
 // metricLit matches a casc_* metric-name string literal as it appears in a
@@ -18,10 +20,16 @@ import (
 // bare words) keeps prose and label values out of the inventory.
 var metricLit = regexp.MustCompile(`"(casc_[a-z0-9_]+)"`)
 
-// TestMetricsDocumented is the docs CI gate: every casc_* metric name
-// registered anywhere in the source tree must be documented in
-// docs/OPERATIONS.md, so the operator runbook can never silently fall
-// behind the code. New metric? Add a row to the catalogue table.
+// docMetricRow matches a metric catalogue row of docs/OPERATIONS.md: a
+// table row whose first cell is a backticked casc_* name.
+var docMetricRow = regexp.MustCompile("(?m)^\\| `(casc_[a-z0-9_]+)` \\|")
+
+// TestMetricsDocumented is the docs CI gate, checked both ways: every
+// casc_* metric name registered anywhere in the source tree must be
+// documented in docs/OPERATIONS.md, and every catalogue row must name a
+// metric some source still declares, so the operator runbook can neither
+// fall behind the code nor keep advertising a removed series. New metric?
+// Add a row to the catalogue table; removed one? Delete its row.
 func TestMetricsDocumented(t *testing.T) {
 	doc, err := os.ReadFile("docs/OPERATIONS.md")
 	if err != nil {
@@ -70,6 +78,15 @@ func TestMetricsDocumented(t *testing.T) {
 		if !strings.Contains(runbook, name) {
 			t.Errorf("metric %s (declared in %s) is missing from docs/OPERATIONS.md",
 				name, strings.Join(registered[name], ", "))
+		}
+	}
+	rows := docMetricRow.FindAllStringSubmatch(runbook, -1)
+	if len(rows) == 0 {
+		t.Fatal("no metric catalogue rows found in docs/OPERATIONS.md; the scan is broken")
+	}
+	for _, m := range rows {
+		if registered[m[1]] == nil {
+			t.Errorf("docs/OPERATIONS.md catalogues %s but no source declares it", m[1])
 		}
 	}
 }
@@ -221,5 +238,57 @@ func TestFlagsDocumented(t *testing.T) {
 				t.Errorf("%s: docs/OPERATIONS.md documents -%s but the binary does not register it", cmd, name)
 			}
 		}
+	}
+}
+
+// docRulesRow captures the rule list of the casc-lint `-rules` row of
+// docs/OPERATIONS.md; readmeRuleRow captures one rule of README.md's rule
+// table.
+var (
+	docRulesRow   = regexp.MustCompile("(?m)^\\| `-rules a,b` \\|[^|]*\\| rule subset \\(`([a-z,]+)`\\)")
+	readmeRuleRow = regexp.MustCompile("^\\| `([a-z]+)` \\|")
+)
+
+// TestLintRulesDocumented keeps the two rule lists of the docs in step
+// with the suite: the `-rules` row of docs/OPERATIONS.md and the rule
+// table of README.md must name exactly the rules of analysis.AllRules, in
+// its order.
+func TestLintRulesDocumented(t *testing.T) {
+	var want []string
+	for _, r := range analysis.AllRules() {
+		want = append(want, r.Name)
+	}
+	wantList := strings.Join(want, ",")
+
+	ops, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := docRulesRow.FindSubmatch(ops)
+	if m == nil {
+		t.Fatal("docs/OPERATIONS.md: no `-rules` row listing the rule subset")
+	}
+	if got := string(m[1]); got != wantList {
+		t.Errorf("docs/OPERATIONS.md -rules row lists %s, want %s", got, wantList)
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| rule | invariant |")
+	if !ok {
+		t.Fatal("README.md: no rule table")
+	}
+	var got []string
+	for _, line := range strings.Split(table, "\n")[2:] {
+		row := readmeRuleRow.FindStringSubmatch(line)
+		if row == nil {
+			break
+		}
+		got = append(got, row[1])
+	}
+	if strings.Join(got, ",") != wantList {
+		t.Errorf("README.md rule table lists %s, want %s", strings.Join(got, ","), wantList)
 	}
 }

@@ -43,6 +43,9 @@ type Rule struct {
 	Scope []string
 	// Check inspects one package and reports findings.
 	Check func(p *Package, r *Reporter)
+	// ReadsContext makes Run pass the Options.Context packages to Check
+	// as well; findings reported on them are dropped.
+	ReadsContext bool
 	// Finish, if set, runs once after every package has been checked —
 	// for cross-package invariants like metric-name uniqueness.
 	Finish func(report func(pos token.Position, format string, args ...any))
@@ -75,16 +78,8 @@ func AllRules() []*Rule {
 		newLockBalance(),
 		newCtxProp(),
 		newFloatDet(),
+		newDeadCode(),
 	}
-}
-
-// RuleNames lists the suite's rule names in presentation order.
-func RuleNames() []string {
-	var names []string
-	for _, r := range AllRules() {
-		names = append(names, r.Name)
-	}
-	return names
 }
 
 // Reporter collects diagnostics for one (package, rule) pair.
@@ -117,6 +112,10 @@ type Options struct {
 	Rules []*Rule
 	// IgnoreScope runs every rule on every package regardless of Scope.
 	IgnoreScope bool
+	// Context lists packages read only as whole-program context, such as
+	// nested modules: rules with ReadsContext see them, none report on
+	// them.
+	Context []*Package
 }
 
 // SuppressRule is the pseudo-rule under which malformed
@@ -143,6 +142,12 @@ func Run(pkgs []*Package, opts Options) []Diagnostic {
 			}
 			ran[p][rule.Name] = true
 			rule.Check(p, &Reporter{pkg: p, rule: rule.Name, out: &diags})
+		}
+		if rule.ReadsContext {
+			var dropped []Diagnostic
+			for _, p := range opts.Context {
+				rule.Check(p, &Reporter{pkg: p, rule: rule.Name, out: &dropped})
+			}
 		}
 		if rule.Finish != nil {
 			name := rule.Name

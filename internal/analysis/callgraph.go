@@ -39,23 +39,11 @@ type CallSite struct {
 // package per Check call and query it in Finish.
 type CallGraph struct {
 	nodes map[*types.Func]*FuncInfo
-	order []*FuncInfo // deterministic iteration: insertion order
 }
 
 // NewCallGraph returns an empty graph.
 func NewCallGraph() *CallGraph {
 	return &CallGraph{nodes: map[*types.Func]*FuncInfo{}}
-}
-
-// Lookup returns the node for fn, or nil.
-func (cg *CallGraph) Lookup(fn *types.Func) *FuncInfo {
-	return cg.nodes[fn]
-}
-
-// Funcs returns every function with a body, in insertion order (package
-// load order, then file order) — deterministic across runs.
-func (cg *CallGraph) Funcs() []*FuncInfo {
-	return cg.order
 }
 
 // AddPackage indexes every function declaration of p.
@@ -83,33 +71,8 @@ func (cg *CallGraph) AddPackage(p *Package) {
 				return true
 			})
 			cg.nodes[obj] = fi
-			cg.order = append(cg.order, fi)
 		}
 	}
-}
-
-// ReachableFrom returns every function reachable from the roots over
-// static call edges, roots included. Bodyless callees terminate paths.
-func (cg *CallGraph) ReachableFrom(roots []*FuncInfo) map[*FuncInfo]bool {
-	seen := map[*FuncInfo]bool{}
-	var stack []*FuncInfo
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		fi := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, cs := range fi.Calls {
-			if next := cg.nodes[cs.Callee]; next != nil && !seen[next] {
-				seen[next] = true
-				stack = append(stack, next)
-			}
-		}
-	}
-	return seen
 }
 
 // LoopsWithin reports whether fn loops itself or any of its direct callees

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -24,6 +25,100 @@ func buildTestCFG(t *testing.T, body string) *Graph {
 		t.Fatalf("invariants: %v\n%s", err, src)
 	}
 	return g
+}
+
+// Returns reports whether the block ends in a return statement.
+func (b *Block) Returns() bool {
+	if len(b.Nodes) == 0 {
+		return false
+	}
+	_, ok := b.Nodes[len(b.Nodes)-1].(*ast.ReturnStmt)
+	return ok
+}
+
+// CheckInvariants verifies the structural CFG invariants: a single entry
+// with no predecessors, an exit with no successors, mutually consistent
+// edges, and dense block indices. Fuzzing (FuzzCFG) layers reachability
+// checks on top for bodies whose grammar guarantees a terminating path.
+func (g *Graph) CheckInvariants() error {
+	if g.Entry == nil || g.Exit == nil {
+		return fmt.Errorf("cfg: nil entry or exit")
+	}
+	if len(g.Entry.Preds) != 0 {
+		return fmt.Errorf("cfg: entry has %d predecessors", len(g.Entry.Preds))
+	}
+	if len(g.Exit.Succs) != 0 {
+		return fmt.Errorf("cfg: exit has %d successors", len(g.Exit.Succs))
+	}
+	index := make(map[*Block]bool, len(g.Blocks))
+	for i, b := range g.Blocks {
+		if b == nil {
+			return fmt.Errorf("cfg: nil block at %d", i)
+		}
+		if b.Index != i {
+			return fmt.Errorf("cfg: block %d carries index %d", i, b.Index)
+		}
+		if index[b] {
+			return fmt.Errorf("cfg: block %d appears twice", i)
+		}
+		index[b] = true
+	}
+	if !index[g.Entry] || !index[g.Exit] {
+		return fmt.Errorf("cfg: entry or exit not in Blocks")
+	}
+	for _, b := range g.Blocks {
+		for _, s := range b.Succs {
+			if !index[s] {
+				return fmt.Errorf("cfg: block %d has successor outside the graph", b.Index)
+			}
+			if !containsBlock(s.Preds, b) {
+				return fmt.Errorf("cfg: edge %d->%d missing from Preds", b.Index, s.Index)
+			}
+		}
+		for _, p := range b.Preds {
+			if !index[p] {
+				return fmt.Errorf("cfg: block %d has predecessor outside the graph", b.Index)
+			}
+			if !containsBlock(p.Succs, b) {
+				return fmt.Errorf("cfg: edge %d->%d missing from Succs", p.Index, b.Index)
+			}
+		}
+		if seen := map[*Block]bool{}; true {
+			for _, s := range b.Succs {
+				if seen[s] {
+					return fmt.Errorf("cfg: duplicate edge %d->%d", b.Index, s.Index)
+				}
+				seen[s] = true
+			}
+		}
+	}
+	return nil
+}
+
+// Reachable returns the set of blocks reachable from entry.
+func (g *Graph) Reachable() map[*Block]bool {
+	seen := map[*Block]bool{g.Entry: true}
+	stack := []*Block{g.Entry}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Succs {
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return seen
+}
+
+func containsBlock(list []*Block, b *Block) bool {
+	for _, x := range list {
+		if x == b {
+			return true
+		}
+	}
+	return false
 }
 
 // blockWith returns the first block for which match returns true, or nil.

@@ -3,9 +3,9 @@ package analysis
 // dataflow.go is the worklist solver the CFG rules share. A FlowProblem
 // packages one monotone dataflow problem over a Graph: facts of any type F,
 // a boundary fact, a per-block transfer function, and join/equality. The
-// solver iterates to fixpoint, visiting only blocks reachable from the
-// boundary (forward: entry, backward: exit) — facts on unreachable blocks
-// stay absent, which consuming rules treat as bottom.
+// solver runs forward to fixpoint, visiting only blocks reachable from the
+// entry — facts on unreachable blocks stay absent, which consuming rules
+// treat as bottom.
 //
 // Contract: Transfer and Join must not mutate their inputs; both return
 // (possibly fresh) facts. Termination is the problem's responsibility:
@@ -14,8 +14,7 @@ package analysis
 
 // FlowProblem describes one dataflow problem with fact type F.
 type FlowProblem[F any] struct {
-	// Boundary is the fact entering the entry block (forward) or leaving
-	// the exit block (backward).
+	// Boundary is the fact entering the entry block.
 	Boundary func() F
 	// Transfer applies one block's effect to the incoming fact.
 	Transfer func(b *Block, in F) F
@@ -26,9 +25,8 @@ type FlowProblem[F any] struct {
 }
 
 // FlowResult holds the solved facts per block. In is the fact before the
-// block's transfer, Out the fact after it (in execution order for forward
-// problems, in reverse order for backward ones). Blocks unreachable from
-// the boundary are absent from both maps.
+// block's transfer, Out the fact after it. Blocks unreachable from the
+// entry are absent from both maps.
 type FlowResult[F any] struct {
 	In  map[*Block]F
 	Out map[*Block]F
@@ -36,34 +34,8 @@ type FlowResult[F any] struct {
 
 // SolveForward runs the problem from entry toward exit.
 func SolveForward[F any](g *Graph, p FlowProblem[F]) FlowResult[F] {
-	return solve(g, p, false)
-}
-
-// SolveBackward runs the problem from exit toward entry: Transfer sees the
-// join of the block's successors' facts, and FlowResult.In holds the fact
-// "after" the block in execution order.
-func SolveBackward[F any](g *Graph, p FlowProblem[F]) FlowResult[F] {
-	return solve(g, p, true)
-}
-
-func solve[F any](g *Graph, p FlowProblem[F], backward bool) FlowResult[F] {
 	res := FlowResult[F]{In: map[*Block]F{}, Out: map[*Block]F{}}
 	start := g.Entry
-	if backward {
-		start = g.Exit
-	}
-	sources := func(b *Block) []*Block {
-		if backward {
-			return b.Succs
-		}
-		return b.Preds
-	}
-	dests := func(b *Block) []*Block {
-		if backward {
-			return b.Preds
-		}
-		return b.Succs
-	}
 
 	worklist := []*Block{start}
 	queued := map[*Block]bool{start: true}
@@ -77,7 +49,7 @@ func solve[F any](g *Graph, p FlowProblem[F], backward bool) FlowResult[F] {
 			in = p.Boundary()
 		} else {
 			first := true
-			for _, src := range sources(b) {
+			for _, src := range b.Preds {
 				out, ok := res.Out[src]
 				if !ok {
 					continue // not yet computed; optimistic iteration
@@ -98,7 +70,7 @@ func solve[F any](g *Graph, p FlowProblem[F], backward bool) FlowResult[F] {
 			continue
 		}
 		res.Out[b] = out
-		for _, d := range dests(b) {
+		for _, d := range b.Succs {
 			if !queued[d] {
 				queued[d] = true
 				worklist = append(worklist, d)

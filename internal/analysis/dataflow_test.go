@@ -131,57 +131,3 @@ func TestSolveForwardSkipsUnreachable(t *testing.T) {
 		t.Error("unreachable block received a forward fact")
 	}
 }
-
-// reachesExit is the backward fact: true iff some panic-free path from the
-// point reaches the function exit.
-func reachesExitProblem() FlowProblem[bool] {
-	return FlowProblem[bool]{
-		Boundary: func() bool { return true },
-		Transfer: func(b *Block, in bool) bool { return in },
-		Join:     func(a, b bool) bool { return a || b },
-		Equal:    func(a, b bool) bool { return a == b },
-	}
-}
-
-// TestSolveBackwardPanicPath: the block ending in panic has no exit edge,
-// so the backward solve never hands it a fact.
-func TestSolveBackwardPanicPath(t *testing.T) {
-	g := buildTestCFG(t, `c := true
-	if c {
-		panic("boom")
-	}
-	_ = c`)
-	res := SolveBackward(g, reachesExitProblem())
-	pb := blockWith(g, func(b *Block) bool {
-		if len(b.Nodes) == 0 {
-			return false
-		}
-		es, ok := b.Nodes[len(b.Nodes)-1].(*ast.ExprStmt)
-		return ok && isPanicStmt(es)
-	})
-	if pb == nil {
-		t.Fatal("no panic block")
-	}
-	if _, ok := res.Out[pb]; ok {
-		t.Error("panic block received a backward fact; it has no path to exit")
-	}
-	if v, ok := res.In[g.Entry]; !ok || !v {
-		t.Errorf("entry must reach exit along the non-panic arm; got %v ok=%v", v, ok)
-	}
-}
-
-// TestSolveBackwardLoop: backward facts must also circulate through loops.
-func TestSolveBackwardLoop(t *testing.T) {
-	g := buildTestCFG(t, `x := 0
-	for {
-		if x > 2 {
-			break
-		}
-		x++
-	}
-	_ = x`)
-	res := SolveBackward(g, reachesExitProblem())
-	if v, ok := res.In[g.Entry]; !ok || !v {
-		t.Errorf("entry fails to reach exit through break; got %v ok=%v", v, ok)
-	}
-}

@@ -40,6 +40,34 @@ func testLoader(t *testing.T) *Loader {
 	return loaderVal
 }
 
+// LoadDir loads the single package in dir (a fixture under testdata,
+// invisible to the go command), type-checked against the module's export
+// data. All non-test .go files in the directory are included.
+func (l *Loader) LoadDir(dir string) (*Package, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range ents {
+		if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+			files = append(files, filepath.Join(dir, n))
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
+	}
+	rel, err := filepath.Rel(l.Root, dir)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return nil, fmt.Errorf("analysis: %s is outside module root %s", dir, l.Root)
+	}
+	return l.check(l.modPath+"/"+filepath.ToSlash(rel), dir, files)
+}
+
 // wantRE matches golden expectations: `// want <rule>` trailing the line
 // the diagnostic must land on.
 var wantRE = regexp.MustCompile(`// want (\w+)\s*$`)
@@ -122,6 +150,9 @@ func TestGolden(t *testing.T) {
 		{fixture: "lockbalance", rules: []string{"lockbalance"}},
 		{fixture: "ctxprop", rules: []string{"ctxprop"}},
 		{fixture: "floatdet", rules: []string{"floatdet"}},
+		// Reachability from main over references and used interfaces
+		// (DESIGN.md §9).
+		{fixture: "deadcode", rules: []string{"deadcode"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -147,7 +148,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // LoadModule loads every package of the module (`go list ./...`),
 // type-checked from source. Test files are excluded: the suite's rules
 // target production code, and fixtures under testdata are loaded
-// explicitly with LoadDir.
+// by the golden tests.
 func (l *Loader) LoadModule() ([]*Package, error) {
 	lines, err := l.goList("-f", "{{.ImportPath}}\t{{.Dir}}\t{{range .GoFiles}}{{.}} {{end}}", "./...")
 	if err != nil {
@@ -177,32 +178,34 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir loads the single package in dir (which may sit under testdata,
-// invisible to the go command), type-checked against the module's export
-// data. All non-test .go files in the directory are included.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range ents {
-		if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-			files = append(files, filepath.Join(dir, n))
+// LoadNestedModules loads every module nested below the loader's root (a
+// directory with its own go.mod, such as perfbench), each through its own
+// Loader. `go list ./...` stops at module boundaries, so LoadModule never
+// sees them; whole-program rules read them as Options.Context.
+func (l *Loader) LoadNestedModules() ([]*Package, error) {
+	var pkgs []*Package
+	err := filepath.WalkDir(l.Root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == l.Root {
+			return err
 		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	rel, err := filepath.Rel(l.Root, dir)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return nil, fmt.Errorf("analysis: %s is outside module root %s", dir, l.Root)
-	}
-	return l.check(l.modPath+"/"+filepath.ToSlash(rel), dir, files)
+		if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err != nil {
+			return nil
+		}
+		nested, err := NewLoader(path)
+		if err != nil {
+			return err
+		}
+		mod, err := nested.LoadModule()
+		if err != nil {
+			return err
+		}
+		pkgs = append(pkgs, mod...)
+		return filepath.SkipDir
+	})
+	return pkgs, err
 }
 
 func (l *Loader) check(path, dir string, files []string) (*Package, error) {

@@ -15,7 +15,11 @@ func TestRepoClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; loader lost part of the module", len(pkgs))
 	}
-	diags := Run(pkgs, Options{})
+	nested, err := l.LoadNestedModules()
+	if err != nil {
+		t.Fatalf("loading nested modules: %v", err)
+	}
+	diags := Run(pkgs, Options{Context: nested})
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

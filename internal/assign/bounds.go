@@ -1,10 +1,6 @@
 package assign
 
-import (
-	"context"
-
-	"casc/internal/model"
-)
+import "casc/internal/model"
 
 // This file implements the per-worker quality bounds of Lemmas V.2 and V.3
 // and the equilibrium quality measures of Theorem V.2 (price of anarchy /
@@ -77,8 +73,8 @@ type EquilibriumQuality struct {
 
 // AnalyzeEquilibrium evaluates an assignment (typically a GT equilibrium)
 // against the Theorem V.2 bounds. nInit is the number of tasks the
-// initialization stage finished; pass InitTasksOf(ctx, in) when the assignment
-// came from a default GT run.
+// initialization stage finished: when the assignment came from a default
+// GT run, the CompletedTasks count of a TPG solve of the same instance.
 func AnalyzeEquilibrium(in *model.Instance, a *model.Assignment, nInit int) EquilibriumQuality {
 	eq := EquilibriumQuality{
 		Upper:    Upper(in),
@@ -102,15 +98,4 @@ func AnalyzeEquilibrium(in *model.Instance, a *model.Assignment, nInit int) Equi
 		eq.AchievedRatio = eq.Achieved / eq.Upper
 	}
 	return eq
-}
-
-// InitTasksOf runs the TPG initialization and returns N_init, the number of
-// tasks finished in the initialization stage of GT (Theorem V.2's N_init).
-// The caller's ctx bounds the embedded solve.
-func InitTasksOf(ctx context.Context, in *model.Instance) int {
-	a, err := NewTPG().Solve(ctx, in)
-	if err != nil {
-		return 0
-	}
-	return a.CompletedTasks(in)
 }

@@ -65,8 +65,12 @@ func TestAnalyzeEquilibrium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nInit := InitTasksOf(context.Background(), in)
-	eq := AnalyzeEquilibrium(in, a, nInit)
+	// N_init of Theorem V.2: the tasks GT's TPG initialization finishes.
+	init, err := NewTPG().Solve(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq := AnalyzeEquilibrium(in, a, init.CompletedTasks(in))
 	if eq.Upper <= 0 {
 		t.Fatal("UPPER should be positive on a connected instance")
 	}

@@ -18,6 +18,8 @@ type BruteForce struct {
 }
 
 // NewBruteForce returns a brute-force solver.
+//
+//casclint:ignore deadcode reference oracle: exact optimum the solver, UPPER and k-SP reduction tests compare against
 func NewBruteForce() *BruteForce { return &BruteForce{} }
 
 // Name implements Solver.

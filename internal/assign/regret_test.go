@@ -70,50 +70,3 @@ func TestSummarizeRegretEdgeCases(t *testing.T) {
 		t.Errorf("summary: %+v", s)
 	}
 }
-
-func TestSampleEquilibria(t *testing.T) {
-	r := rand.New(rand.NewSource(84))
-	in := randomInstance(r, 60, 20, 3)
-	sp, err := SampleEquilibria(context.Background(), in, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sp.Scores) != 7 { // 6 random inits + TPG init
-		t.Fatalf("sampled %d equilibria", len(sp.Scores))
-	}
-	if sp.Worst > sp.Mean || sp.Mean > sp.Best {
-		t.Fatalf("spread ordering broken: %v ≤ %v ≤ %v", sp.Worst, sp.Mean, sp.Best)
-	}
-	if sp.Best > sp.Upper+1e-9 {
-		t.Fatalf("best equilibrium %v above UPPER %v (PoS ≤ 1 violated)", sp.Best, sp.Upper)
-	}
-	if sp.Worst <= 0 {
-		t.Fatal("worst equilibrium scored zero on a connected instance")
-	}
-	// §V-C: equilibria genuinely differ in quality. With 7 samples on a
-	// random instance at least two distinct values are expected.
-	distinct := 1
-	for i := 1; i < len(sp.Scores); i++ {
-		if sp.Scores[i] != sp.Scores[i-1] {
-			distinct++
-		}
-	}
-	if distinct < 2 {
-		t.Log("all sampled equilibria identical (possible but unusual)")
-	}
-	// The TPG-initialized equilibrium should be competitive with the
-	// random-start ones (the paper chose it for a reason).
-	if sp.TPGInitScore < sp.Mean*0.95 {
-		t.Errorf("TPG-init equilibrium %v well below the mean %v", sp.TPGInitScore, sp.Mean)
-	}
-}
-
-func TestSampleEquilibriaCancelled(t *testing.T) {
-	r := rand.New(rand.NewSource(85))
-	in := randomInstance(r, 30, 10, 3)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := SampleEquilibria(ctx, in, 2); err != nil {
-		t.Fatalf("cancelled sampling errored: %v", err)
-	}
-}

@@ -81,6 +81,8 @@ func Upper(in *model.Instance) float64 {
 // The worker-side term is unchanged. UpperTight ≤ Upper always; the gap
 // measures how much of UPPER's looseness comes from workers "borrowing"
 // good partners they could never actually share a task with.
+//
+//casclint:ignore deadcode ablation of Upper reported in EXPERIMENTS.md (TestUpperTightIsValidAndTighter)
 func UpperTight(in *model.Instance) float64 {
 	B := in.B
 	if B < 2 {

@@ -160,9 +160,6 @@ type Config struct {
 	// (TPG, GT, GT+LUB) every round's score and assignment is bitwise
 	// identical to the default path.
 	Incremental bool
-	// Predict configures the incremental engine's arrival predictor (only
-	// read when Incremental is set; zero value disables prediction).
-	Predict incremental.PredictConfig
 }
 
 // BatchStats records one batch of the simulation.
@@ -652,7 +649,6 @@ func (s *sim) runIncremental(ctx context.Context) (*Result, error) {
 		Carry:   true,
 		Seed:    cfg.Seed,
 		Metrics: cfg.Metrics,
-		Predict: cfg.Predict,
 	})
 	var (
 		idleFor []int // aligned with the engine's worker order

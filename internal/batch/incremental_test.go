@@ -228,17 +228,6 @@ func TestIncrementalMatchesFromScratchWithPatience(t *testing.T) {
 	checkEquivalence(t, cfg, src)
 }
 
-func TestIncrementalMatchesFromScratchWithPredictor(t *testing.T) {
-	// The predictor is a pure performance device: pre-built superset lists
-	// filtered through the exact predicate must not move a single bit.
-	src := churnSource(12, 43)
-	cfg := Config{
-		Solver: assign.NewTPG(), Rounds: 12, B: 3, ServiceDuration: 2,
-		Predict: incremental.PredictConfig{Cells: 8, Alpha: 0.5, Threshold: 0.2},
-	}
-	checkEquivalence(t, cfg, src)
-}
-
 func TestIncrementalMatchesFromScratchUnderGenerousBudget(t *testing.T) {
 	// With a budget no solve can overrun, the ladder completes on the
 	// primary rung in both modes and equivalence must hold bitwise.

@@ -39,8 +39,5 @@ func (c *Cached) Quality(i, k int) float64 {
 // NumWorkers implements Model.
 func (c *Cached) NumWorkers() int { return c.Base.NumWorkers() }
 
-// Len reports the number of memoized pairs (for tests and metrics).
-func (c *Cached) Len() int { return len(c.memo) }
-
 // Unwrap returns the underlying model (errors.Unwrap convention).
 func (c *Cached) Unwrap() Model { return c.Base }

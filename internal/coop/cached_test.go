@@ -44,12 +44,12 @@ func TestCachedMemoizes(t *testing.T) {
 	if counter.calls != 1 {
 		t.Errorf("base evaluated %d times, want 1", counter.calls)
 	}
-	if c.Len() != 1 {
-		t.Errorf("memo holds %d pairs, want 1", c.Len())
+	if len(c.memo) != 1 {
+		t.Errorf("memo holds %d pairs, want 1", len(c.memo))
 	}
 	c.Quality(1, 2)
-	if c.Len() != 2 {
-		t.Errorf("memo holds %d pairs, want 2", c.Len())
+	if len(c.memo) != 2 {
+		t.Errorf("memo holds %d pairs, want 2", len(c.memo))
 	}
 	// Diagonal never touches the base.
 	before := counter.calls

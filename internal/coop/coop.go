@@ -70,6 +70,8 @@ func (m *Matrix) NumWorkers() int { return m.n }
 
 // Func adapts a plain function to Model. The function must already be
 // symmetric and bounded; Func zeroes the diagonal.
+//
+//casclint:ignore deadcode test quality model: the model and arena-equivalence fuzzers build tie-heavy instances from closures
 type Func struct {
 	N int
 	F func(i, k int) float64

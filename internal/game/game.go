@@ -278,6 +278,8 @@ func findImproving(g Game, minGain float64, res *Result) (int, bool) {
 
 // IsNash reports whether no player has a strictly improving deviation of
 // more than minGain. It is a verification helper for tests and callers.
+//
+//casclint:ignore deadcode reference oracle: the game and assign tests verify equilibria with it
 func IsNash(g Game, minGain float64) bool {
 	if minGain <= 0 {
 		minGain = 1e-12

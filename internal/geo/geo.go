@@ -61,30 +61,8 @@ type Rect struct {
 	Min, Max Point
 }
 
-// RectOf returns the rectangle spanning the two corner points in any order.
-func RectOf(a, b Point) Rect {
-	return Rect{
-		Min: Point{X: math.Min(a.X, b.X), Y: math.Min(a.Y, b.Y)},
-		Max: Point{X: math.Max(a.X, b.X), Y: math.Max(a.Y, b.Y)},
-	}
-}
-
-// RectAround returns the bounding box of the circle centered at c with radius r.
-func RectAround(c Point, r float64) Rect {
-	return Rect{Min: c.Add(-r, -r), Max: c.Add(r, r)}
-}
-
 // PointRect returns the degenerate rectangle containing only p.
 func PointRect(p Point) Rect { return Rect{Min: p, Max: p} }
-
-// Valid reports whether r.Min <= r.Max on both axes.
-func (r Rect) Valid() bool { return r.Min.X <= r.Max.X && r.Min.Y <= r.Max.Y }
-
-// Area returns the rectangle's area.
-func (r Rect) Area() float64 { return (r.Max.X - r.Min.X) * (r.Max.Y - r.Min.Y) }
-
-// Margin returns half the rectangle's perimeter (the R*-tree "margin").
-func (r Rect) Margin() float64 { return (r.Max.X - r.Min.X) + (r.Max.Y - r.Min.Y) }
 
 // Union returns the smallest rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
@@ -94,24 +72,11 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// Enlargement returns the area increase of r needed to contain s.
-func (r Rect) Enlargement(s Rect) float64 { return r.Union(s).Area() - r.Area() }
-
-// Intersects reports whether r and s share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
-
 // Contains reports whether p lies inside r (boundary inclusive).
+//
+//casclint:ignore deadcode reference oracle: TestCircleRectConsistency checks IntersectsCircle against it
 func (r Rect) Contains(p Point) bool {
 	return r.Min.X <= p.X && p.X <= r.Max.X && r.Min.Y <= p.Y && p.Y <= r.Max.Y
-}
-
-// ContainsRect reports whether s lies entirely inside r.
-func (r Rect) ContainsRect(s Rect) bool {
-	return r.Min.X <= s.Min.X && s.Max.X <= r.Max.X &&
-		r.Min.Y <= s.Min.Y && s.Max.Y <= r.Max.Y
 }
 
 // Center returns the rectangle's center point.

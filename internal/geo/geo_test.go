@@ -74,70 +74,20 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestRectOf(t *testing.T) {
-	r := RectOf(Pt(1, 0), Pt(0, 1))
-	want := Rect{Min: Pt(0, 0), Max: Pt(1, 1)}
-	if r != want {
-		t.Errorf("RectOf = %v, want %v", r, want)
-	}
-	if !r.Valid() {
-		t.Error("RectOf produced invalid rect")
-	}
-}
-
-func TestRectAreaMargin(t *testing.T) {
-	r := RectOf(Pt(0, 0), Pt(2, 3))
-	if r.Area() != 6 {
-		t.Errorf("Area = %v, want 6", r.Area())
-	}
-	if r.Margin() != 5 {
-		t.Errorf("Margin = %v, want 5", r.Margin())
-	}
-}
-
 func TestRectUnionEnlargement(t *testing.T) {
-	a := RectOf(Pt(0, 0), Pt(1, 1))
-	b := RectOf(Pt(2, 2), Pt(3, 3))
-	u := a.Union(b)
-	if !u.ContainsRect(a) || !u.ContainsRect(b) {
-		t.Errorf("Union %v does not contain operands", u)
+	a := Rect{Min: Pt(0, 0), Max: Pt(1, 1)}
+	b := Rect{Min: Pt(2, 2), Max: Pt(3, 3)}
+	want := Rect{Min: Pt(0, 0), Max: Pt(3, 3)}
+	if u := a.Union(b); u != want {
+		t.Errorf("Union = %v, want %v", u, want)
 	}
-	if got := a.Enlargement(b); math.Abs(got-8) > 1e-12 {
-		t.Errorf("Enlargement = %v, want 8 (3x3 union minus 1x1)", got)
-	}
-	if got := a.Enlargement(RectOf(Pt(0.2, 0.2), Pt(0.8, 0.8))); got != 0 {
-		t.Errorf("Enlargement of contained rect = %v, want 0", got)
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	a := RectOf(Pt(0, 0), Pt(1, 1))
-	tests := []struct {
-		name string
-		b    Rect
-		want bool
-	}{
-		{"overlapping", RectOf(Pt(0.5, 0.5), Pt(2, 2)), true},
-		{"touching edge", RectOf(Pt(1, 0), Pt(2, 1)), true},
-		{"touching corner", RectOf(Pt(1, 1), Pt(2, 2)), true},
-		{"disjoint x", RectOf(Pt(1.1, 0), Pt(2, 1)), false},
-		{"disjoint y", RectOf(Pt(0, 1.1), Pt(1, 2)), false},
-		{"contained", RectOf(Pt(0.2, 0.2), Pt(0.4, 0.4)), true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := a.Intersects(tt.b); got != tt.want {
-				t.Errorf("Intersects = %v, want %v", got, tt.want)
-			}
-			if got := tt.b.Intersects(a); got != tt.want {
-				t.Errorf("Intersects (flipped) = %v, want %v", got, tt.want)
-			}
-		})
+	if u := a.Union(Rect{Min: Pt(0.2, 0.2), Max: Pt(0.8, 0.8)}); u != a {
+		t.Errorf("Union with a contained rect = %v, want %v", u, a)
 	}
 }
 
 func TestRectContains(t *testing.T) {
-	r := RectOf(Pt(0, 0), Pt(1, 1))
+	r := Rect{Min: Pt(0, 0), Max: Pt(1, 1)}
 	if !r.Contains(Pt(0, 0)) || !r.Contains(Pt(1, 1)) || !r.Contains(Pt(0.5, 0.5)) {
 		t.Error("Contains should include boundary and interior")
 	}
@@ -147,7 +97,7 @@ func TestRectContains(t *testing.T) {
 }
 
 func TestRectDistToPoint(t *testing.T) {
-	r := RectOf(Pt(0, 0), Pt(1, 1))
+	r := Rect{Min: Pt(0, 0), Max: Pt(1, 1)}
 	tests := []struct {
 		p    Point
 		want float64
@@ -165,7 +115,7 @@ func TestRectDistToPoint(t *testing.T) {
 }
 
 func TestIntersectsCircle(t *testing.T) {
-	r := RectOf(Pt(0, 0), Pt(1, 1))
+	r := Rect{Min: Pt(0, 0), Max: Pt(1, 1)}
 	if !r.IntersectsCircle(Pt(0.5, 0.5), 0.01) {
 		t.Error("circle inside rect should intersect")
 	}
@@ -177,14 +127,6 @@ func TestIntersectsCircle(t *testing.T) {
 	}
 	if r.IntersectsCircle(Pt(0.5, 0.5), -1) {
 		t.Error("negative radius must never intersect")
-	}
-}
-
-func TestRectAround(t *testing.T) {
-	r := RectAround(Pt(0.5, 0.5), 0.2)
-	want := RectOf(Pt(0.3, 0.3), Pt(0.7, 0.7))
-	if math.Abs(r.Min.X-want.Min.X) > 1e-12 || math.Abs(r.Max.Y-want.Max.Y) > 1e-12 {
-		t.Errorf("RectAround = %v, want %v", r, want)
 	}
 }
 
@@ -219,7 +161,7 @@ func TestCircleRectConsistency(t *testing.T) {
 		rad = math.Mod(math.Abs(rad), 10)
 		p := Pt(math.Mod(px, 10), math.Mod(py, 10))
 		c := Pt(math.Mod(cx, 10), math.Mod(cy, 10))
-		r := RectOf(Pt(-5, -5), Pt(5, 5))
+		r := Rect{Min: Pt(-5, -5), Max: Pt(5, 5)}
 		if InCircle(p, c, rad) && r.Contains(p) {
 			return r.IntersectsCircle(c, rad)
 		}

@@ -18,7 +18,6 @@ import (
 type Index struct {
 	cells      [][]entry
 	resolution int
-	size       int
 }
 
 type entry struct {
@@ -54,9 +53,6 @@ func ForCount(n int) *Index {
 	return New(res)
 }
 
-// Len returns the number of stored points.
-func (g *Index) Len() int { return g.size }
-
 func (g *Index) cellIndex(p geo.Point) int {
 	c := p.Clamp(0, 1)
 	x := int(c.X * float64(g.resolution))
@@ -74,7 +70,6 @@ func (g *Index) cellIndex(p geo.Point) int {
 func (g *Index) Insert(p geo.Point, id int) {
 	ci := g.cellIndex(p)
 	g.cells[ci] = append(g.cells[ci], entry{p: p, id: id})
-	g.size++
 }
 
 // Delete removes one point matching (p, id), reporting success.
@@ -85,7 +80,6 @@ func (g *Index) Delete(p geo.Point, id int) bool {
 		if e.id == id && e.p == p {
 			cell[i] = cell[len(cell)-1]
 			g.cells[ci] = cell[:len(cell)-1]
-			g.size--
 			return true
 		}
 	}
@@ -116,25 +110,6 @@ func (g *Index) SearchCircle(c geo.Point, rad float64, dst []int) []int {
 		for x := x0; x <= x1; x++ {
 			for _, e := range g.cells[y*g.resolution+x] {
 				if e.p.Dist2(c) <= rad2 {
-					dst = append(dst, e.id)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// SearchRect appends to dst the IDs of all points inside q (boundary
-// inclusive), and returns the extended slice.
-func (g *Index) SearchRect(q geo.Rect, dst []int) []int {
-	x0 := cellCoord(q.Min.X, g.resolution)
-	x1 := cellCoord(q.Max.X, g.resolution)
-	y0 := cellCoord(q.Min.Y, g.resolution)
-	y1 := cellCoord(q.Max.Y, g.resolution)
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			for _, e := range g.cells[y*g.resolution+x] {
-				if q.Contains(e.p) {
 					dst = append(dst, e.id)
 				}
 			}

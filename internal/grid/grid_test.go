@@ -32,15 +32,13 @@ func bruteCircle(pts []pt, c geo.Point, rad float64) []int {
 	return out
 }
 
-func bruteRect(pts []pt, q geo.Rect) []int {
-	var out []int
-	for _, e := range pts {
-		if q.Contains(e.p) {
-			out = append(out, e.id)
-		}
+// size counts the points stored across all cells.
+func size(g *Index) int {
+	n := 0
+	for _, c := range g.cells {
+		n += len(c)
 	}
-	sort.Ints(out)
-	return out
+	return n
 }
 
 func sortedCopy(s []int) []int {
@@ -63,7 +61,7 @@ func equalInts(a, b []int) bool {
 
 func TestEmpty(t *testing.T) {
 	g := New(0)
-	if g.Len() != 0 {
+	if size(g) != 0 {
 		t.Fatal("non-zero length")
 	}
 	if got := g.SearchCircle(geo.Pt(0.5, 0.5), 0.3, nil); len(got) != 0 {
@@ -94,46 +92,29 @@ func TestSearchCircleAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestSearchRectAgainstBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	pts := randPts(r, 500)
-	g := ForCount(len(pts))
-	for _, e := range pts {
-		g.Insert(e.p, e.id)
-	}
-	for trial := 0; trial < 150; trial++ {
-		q := geo.RectOf(geo.Pt(r.Float64(), r.Float64()), geo.Pt(r.Float64(), r.Float64()))
-		got := sortedCopy(g.SearchRect(q, nil))
-		want := bruteRect(pts, q)
-		if !equalInts(got, want) {
-			t.Fatalf("trial %d: mismatch", trial)
-		}
-	}
-}
-
 func TestBoundaryPoints(t *testing.T) {
 	g := New(8)
 	corners := []geo.Point{geo.Pt(0, 0), geo.Pt(1, 0), geo.Pt(0, 1), geo.Pt(1, 1)}
 	for i, p := range corners {
 		g.Insert(p, i)
 	}
-	if g.Len() != 4 {
-		t.Fatalf("Len = %d", g.Len())
+	if size(g) != 4 {
+		t.Fatalf("size = %d", size(g))
 	}
 	got := g.SearchCircle(geo.Pt(1, 1), 0.01, nil)
 	if len(got) != 1 || got[0] != 3 {
 		t.Errorf("corner query got %v", got)
 	}
-	got = g.SearchRect(geo.RectOf(geo.Pt(0, 0), geo.Pt(1, 1)), nil)
+	got = g.SearchCircle(geo.Pt(0.5, 0.5), 0.75, nil)
 	if len(got) != 4 {
-		t.Errorf("full rect got %d points", len(got))
+		t.Errorf("circle over the unit square got %d points", len(got))
 	}
 }
 
 func TestOutOfRangePointsClamped(t *testing.T) {
 	g := New(8)
 	g.Insert(geo.Pt(-0.5, 1.7), 1)
-	if g.Len() != 1 {
+	if size(g) != 1 {
 		t.Fatal("insert failed")
 	}
 	// The point is addressable by a query near its clamped cell but only
@@ -161,8 +142,8 @@ func TestDelete(t *testing.T) {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
-	if g.Len() != 50 {
-		t.Fatalf("Len = %d", g.Len())
+	if size(g) != 50 {
+		t.Fatalf("size = %d", size(g))
 	}
 	got := sortedCopy(g.SearchCircle(geo.Pt(0.5, 0.5), 1.0, nil))
 	want := bruteCircle(pts[50:], geo.Pt(0.5, 0.5), 1.0)

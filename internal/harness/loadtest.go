@@ -14,10 +14,11 @@ import (
 // workload (workload.GenerateBlobs — contention confined to a hot band of
 // the unit square) driven through shard.Cluster at K ∈ {1, 2, 4, 8},
 // measuring end-to-end batch-round latency. K = 1 is the monolithic
-// baseline; the committed BENCH_shards.json documents the speedup (and, by
-// the equal per-K scores, the bitwise round equivalence) on one core: the
-// win is algorithmic — per-shard solves dodge the global best-response
-// round coupling and stage-one rescans — not parallelism.
+// baseline; the committed bench/BENCH_shards.json (at -scale 0.1, diffed
+// in CI) documents the speedup (and, by the equal per-K scores, the
+// bitwise round equivalence): the win is algorithmic — per-shard solves
+// dodge the global best-response round coupling and stage-one rescans —
+// not parallelism.
 const ExpShards = "shards"
 
 // ShardCounts is the load-test sweep.

@@ -71,8 +71,6 @@ type Config struct {
 	Seed int64
 	// Metrics, when non-nil, receives the casc_incremental_* series.
 	Metrics *metrics.Registry
-	// Predict configures the arrival predictor (zero value: disabled).
-	Predict PredictConfig
 }
 
 // workerState is one live worker. States are heap-allocated once and
@@ -157,7 +155,6 @@ type Engine struct {
 	// Carry.
 	liveIDs map[int]int
 	goneIDs []int
-	pred    *predictor
 	// arena is the engine-owned solver scratch, attached to every
 	// per-component fork in Solve. Components are solved serially and each
 	// arena-owned result is lifted into the round assignment before the
@@ -189,7 +186,6 @@ func New(cfg Config) *Engine {
 		tGrid:   grid.New(0),
 		records: make(map[int]*record),
 		builder: partition.NewBuilder(),
-		pred:    newPredictor(cfg.Predict),
 	}
 	if cfg.Carry {
 		e.warm = assign.NewWarm()
@@ -229,9 +225,8 @@ func (e *Engine) markTaskDirty(ts *taskState) {
 // BeginRound advances the engine to timestamp now: tasks past their
 // deadline are expired (same predicate as the from-scratch engine: a task
 // survives only while Deadline > now), every surviving edge is re-checked
-// against the exact validity predicate, and the predictor rolls its
-// forecast. It returns the external IDs of the tasks expired this round,
-// in entity order.
+// against the exact validity predicate. It returns the external IDs of the
+// tasks expired this round, in entity order.
 func (e *Engine) BeginRound(now float64) []int {
 	e.now = now
 	if e.em != nil {
@@ -283,9 +278,6 @@ func (e *Engine) BeginRound(now float64) []int {
 		}
 	}
 
-	if e.pred != nil {
-		e.pred.roll(e.maxRadius, e.wGrid.SearchCircle)
-	}
 	return e.expired
 }
 
@@ -363,9 +355,6 @@ func (e *Engine) AddWorker(w model.Worker) {
 	if w.Radius > e.maxRadius {
 		e.maxRadius = w.Radius
 	}
-	if e.pred != nil {
-		e.pred.workerAdded(w.Loc, w.Radius)
-	}
 	e.markWorkerDirty(ws)
 
 	// The grid search is exact on d ≤ Radius, so only the travel and time
@@ -394,9 +383,8 @@ func (e *Engine) link(ws *workerState, ts *taskState) {
 	}
 }
 
-// AddTask admits a task and discovers its candidate edges, preferring a
-// predictor-prebuilt worker list for the task's cell over a grid query.
-// Call between BeginRound and Plan.
+// AddTask admits a task and discovers its candidate edges with a grid
+// query. Call between BeginRound and Plan.
 func (e *Engine) AddTask(t model.Task) {
 	ts := &taskState{uid: e.nextUID, t: t}
 	e.nextUID++
@@ -408,33 +396,11 @@ func (e *Engine) AddTask(t model.Task) {
 		e.liveIDs[t.ID]++
 	}
 
-	var cands []int
-	prewarmed := false
-	if e.pred != nil {
-		e.pred.observeArrival(t.Loc)
-		if l := e.pred.list(t.Loc); l != nil {
-			cands, prewarmed = l, true
-		}
-	}
-	if !prewarmed {
-		e.searchBuf = e.wGrid.SearchCircle(t.Loc, e.maxRadius, e.searchBuf[:0])
-		cands = e.searchBuf
-	}
-	if e.em != nil {
-		if prewarmed {
-			e.em.prewarmHits.Inc()
-		} else {
-			e.em.prewarmMisses.Inc()
-		}
-	}
-	for _, uid := range cands {
+	e.searchBuf = e.wGrid.SearchCircle(t.Loc, e.maxRadius, e.searchBuf[:0])
+	for _, uid := range e.searchBuf {
 		ws := e.wByUID[uid]
-		if ws == nil {
-			continue // stale prewarm entry for a removed worker
-		}
-		// Both discovery paths over-approximate on the radius term (the
-		// grid query uses maxRadius, prewarm lists the cell superset), so
-		// the exact disc test applies here.
+		// The grid query over-approximates the radius term (it uses
+		// maxRadius), so the exact disc test applies here.
 		if ws.w.Loc.Dist(t.Loc) > ws.w.Radius {
 			continue
 		}

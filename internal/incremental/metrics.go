@@ -18,12 +18,6 @@ const (
 	// MetricEdgesDropped counts candidate edges dropped permanently (slack
 	// passed travel time) or by endpoint removal.
 	MetricEdgesDropped = "casc_incremental_edges_dropped_total"
-	// MetricPrewarmHits counts task arrivals whose candidate discovery was
-	// served from a predictor-prebuilt cell list instead of a grid query.
-	MetricPrewarmHits = "casc_incremental_prewarm_hits_total"
-	// MetricPrewarmMisses counts task arrivals that fell back to a grid
-	// query (cold or invalidated cell).
-	MetricPrewarmMisses = "casc_incremental_prewarm_misses_total"
 	// MetricWarmEntries gauges the TPG warm-start cache's entries after
 	// each Commit's prune.
 	MetricWarmEntries = "casc_incremental_warm_entries"
@@ -31,15 +25,13 @@ const (
 
 // engineMetrics resolves the engine's metric handles once at construction.
 type engineMetrics struct {
-	rounds        *metrics.Counter
-	carried       *metrics.Counter
-	resolved      *metrics.Counter
-	edges         *metrics.Gauge
-	edgesAdded    *metrics.Counter
-	edgesDropped  *metrics.Counter
-	prewarmHits   *metrics.Counter
-	prewarmMisses *metrics.Counter
-	warmEntries   *metrics.Gauge
+	rounds       *metrics.Counter
+	carried      *metrics.Counter
+	resolved     *metrics.Counter
+	edges        *metrics.Gauge
+	edgesAdded   *metrics.Counter
+	edgesDropped *metrics.Counter
+	warmEntries  *metrics.Gauge
 }
 
 func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
@@ -47,14 +39,12 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 		return nil
 	}
 	return &engineMetrics{
-		rounds:        reg.Counter(MetricRounds, "Incremental engine rounds."),
-		carried:       reg.Counter(MetricComponentsCarried, "Clean components carried forward without re-solving."),
-		resolved:      reg.Counter(MetricComponentsResolved, "Dirty components re-solved."),
-		edges:         reg.Gauge(MetricEdges, "Live candidate edges (active and time-gated)."),
-		edgesAdded:    reg.Counter(MetricEdgesAdded, "Candidate edges discovered on arrival."),
-		edgesDropped:  reg.Counter(MetricEdgesDropped, "Candidate edges dropped (deadline passed travel time or endpoint removed)."),
-		prewarmHits:   reg.Counter(MetricPrewarmHits, "Task arrivals served from predictor-prebuilt cell lists."),
-		prewarmMisses: reg.Counter(MetricPrewarmMisses, "Task arrivals that fell back to a grid query."),
-		warmEntries:   reg.Gauge(MetricWarmEntries, "TPG warm-start cache entries after the round's prune."),
+		rounds:       reg.Counter(MetricRounds, "Incremental engine rounds."),
+		carried:      reg.Counter(MetricComponentsCarried, "Clean components carried forward without re-solving."),
+		resolved:     reg.Counter(MetricComponentsResolved, "Dirty components re-solved."),
+		edges:        reg.Gauge(MetricEdges, "Live candidate edges (active and time-gated)."),
+		edgesAdded:   reg.Counter(MetricEdgesAdded, "Candidate edges discovered on arrival."),
+		edgesDropped: reg.Counter(MetricEdgesDropped, "Candidate edges dropped (deadline passed travel time or endpoint removed)."),
+		warmEntries:  reg.Gauge(MetricWarmEntries, "TPG warm-start cache entries after the round's prune."),
 	}
 }

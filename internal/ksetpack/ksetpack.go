@@ -13,6 +13,8 @@ import (
 // Instance is a weighted k-set packing instance: a universe {0,...,U-1}, a
 // collection of subsets with weights, and the size bound K. The goal is a
 // maximum-weight collection of pairwise disjoint subsets of size ≤ K.
+//
+//casclint:ignore deadcode the paper's Theorem II.1 k-SP reduction, kept as a tested artifact of the NP-hardness proof
 type Instance struct {
 	U       int
 	K       int

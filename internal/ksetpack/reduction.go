@@ -32,6 +32,8 @@ import (
 // paper's claim that the instances have exactly equal optima is loose; the
 // reduction still proves hardness for the decision version restricted to
 // uniform set sizes k = B, where groups below size B earn nothing.
+//
+//casclint:ignore deadcode the paper's Theorem II.1 k-SP reduction, kept as a tested artifact of the NP-hardness proof
 type Reduction struct {
 	KSP  *Instance
 	CASC *model.Instance
@@ -42,6 +44,8 @@ type Reduction struct {
 // Build constructs the reduction. It returns an error when the set system
 // reuses an element pair (quality would be overconstrained) or the instance
 // is invalid.
+//
+//casclint:ignore deadcode the paper's Theorem II.1 k-SP reduction, kept as a tested artifact of the NP-hardness proof
 func Build(ksp *Instance) (*Reduction, error) {
 	if err := ksp.Validate(); err != nil {
 		return nil, err

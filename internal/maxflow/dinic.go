@@ -30,9 +30,6 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, head: make([][]int32, n)}
 }
 
-// N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
-
 // AddEdge adds a directed edge from u to v with the given capacity and
 // returns its edge index (usable with Flow after MaxFlow runs). Capacity
 // must be non-negative.

@@ -153,12 +153,6 @@ func NewLadder(cfg Config, rungs ...assign.Solver) (*Ladder, error) {
 // Name implements assign.Solver; it is transparent like Parallel's.
 func (l *Ladder) Name() string { return l.rungs[0].Name() }
 
-// Rungs returns the rung chain (shared slice; treat as read-only).
-func (l *Ladder) Rungs() []assign.Solver { return l.rungs }
-
-// Budget returns the configured per-Solve budget.
-func (l *Ladder) Budget() time.Duration { return l.cfg.Budget }
-
 // Outcome reports how one budgeted solve went.
 type Outcome struct {
 	// Rung is the name of the rung whose result was returned, or

@@ -8,23 +8,6 @@ import (
 	"casc/internal/geo"
 )
 
-func randRect(r *rand.Rand) geo.Rect {
-	x, y := r.Float64(), r.Float64()
-	w, h := r.Float64()*0.1, r.Float64()*0.1
-	return geo.RectOf(geo.Pt(x, y), geo.Pt(x+w, y+h))
-}
-
-func linearSearch(items []Item, q geo.Rect) []int {
-	var out []int
-	for _, it := range items {
-		if it.Rect.Intersects(q) {
-			out = append(out, it.ID)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 func linearCircle(items []Item, c geo.Point, rad float64) []int {
 	var out []int
 	for _, it := range items {
@@ -49,42 +32,24 @@ func requireSameIDs(t *testing.T, got, want []int, label string) {
 	}
 }
 
-// TestRStarInsertVsLinear cross-checks incremental R* insertion (which
-// exercises ChooseSubtree, forced reinsert, and the topological split)
-// against a linear scan, with invariants checked as the tree grows.
-func TestRStarInsertVsLinear(t *testing.T) {
-	for _, fanout := range []int{4, 8, 16} {
-		r := rand.New(rand.NewSource(int64(fanout)))
-		tr := NewRStar(fanout)
-		var items []Item
-		for i := 0; i < 400; i++ {
-			it := Item{Rect: randRect(r), ID: i}
-			tr.Insert(it)
-			items = append(items, it)
-			if i%37 == 0 {
-				if err := tr.checkInvariants(); err != nil {
-					t.Fatalf("fanout %d after %d inserts: %v", fanout, i+1, err)
-				}
-			}
-		}
-		if err := tr.checkInvariants(); err != nil {
-			t.Fatalf("fanout %d final: %v", fanout, err)
-		}
-		if tr.Len() != len(items) {
-			t.Fatalf("Len %d, want %d", tr.Len(), len(items))
-		}
-		for q := 0; q < 50; q++ {
-			rect := randRect(r)
-			requireSameIDs(t, tr.Search(rect, nil), linearSearch(items, rect), "Search")
-			c := geo.Pt(r.Float64(), r.Float64())
-			rad := r.Float64() * 0.3
-			requireSameIDs(t, tr.SearchCircle(c, rad, nil), linearCircle(items, c, rad), "SearchCircle")
-		}
+// requireTree checks the structural invariants and every query of qs
+// against a linear scan of items.
+func requireTree(t *testing.T, tr *RStar, items []Item, qs []geo.Point, rad float64, label string) {
+	t.Helper()
+	if err := tr.checkInvariants(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if tr.size != len(items) {
+		t.Fatalf("%s: size %d, want %d", label, tr.size, len(items))
+	}
+	for _, c := range qs {
+		requireSameIDs(t, tr.SearchCircle(c, rad, nil), linearCircle(items, c, rad), label)
 	}
 }
 
 // TestRStarBulkVsLinear checks STR packing into the packed arena across
-// sizes that cover the single-leaf root, one-level, and multi-level cases.
+// sizes that cover the single-leaf root, one-level, and multi-level cases,
+// and with coincident points (every entry rectangle identical).
 func TestRStarBulkVsLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 5, 16, 17, 100, 1000} {
@@ -93,128 +58,47 @@ func TestRStarBulkVsLinear(t *testing.T) {
 			items[i] = Item{Rect: geo.PointRect(geo.Pt(r.Float64(), r.Float64())), ID: i}
 		}
 		tr := BulkRStar(items, 0)
-		if tr.Len() != n {
-			t.Fatalf("n=%d: Len %d", n, tr.Len())
-		}
-		if err := tr.checkInvariants(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
 		for q := 0; q < 20; q++ {
-			c := geo.Pt(r.Float64(), r.Float64())
-			rad := r.Float64() * 0.4
-			requireSameIDs(t, tr.SearchCircle(c, rad, nil), linearCircle(items, c, rad), "SearchCircle")
+			c := []geo.Point{geo.Pt(r.Float64(), r.Float64())}
+			requireTree(t, tr, items, c, r.Float64()*0.4, "random")
 		}
 	}
-}
-
-// TestRStarBulkMatchesTreeBulk pins that the packed R*-tree and the
-// pointer-based tree return identical ID sets for identical queries — the
-// property BuildCandidates relies on when swapping the index (candidate
-// lists are sorted afterwards, so set equality is output preservation).
-func TestRStarBulkMatchesTreeBulk(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	items := make([]Item, 500)
-	for i := range items {
-		items[i] = Item{Rect: geo.PointRect(geo.Pt(r.Float64(), r.Float64())), ID: i}
-	}
-	packed := BulkRStar(items, 0)
-	boxed := Bulk(items, 0)
-	for q := 0; q < 200; q++ {
-		c := geo.Pt(r.Float64(), r.Float64())
-		rad := r.Float64() * 0.2
-		got := append([]int(nil), packed.SearchCircle(c, rad, nil)...)
-		want := append([]int(nil), boxed.SearchCircle(c, rad, nil)...)
-		sort.Ints(want)
-		requireSameIDs(t, got, want, "packed vs boxed")
+	for _, fanout := range []int{4, 16} {
+		items := make([]Item, 100)
+		for i := range items {
+			items[i] = Item{Rect: geo.PointRect(geo.Pt(0.5, 0.5)), ID: i}
+		}
+		qs := []geo.Point{geo.Pt(0.5, 0.5), geo.Pt(0.505, 0.5), geo.Pt(0.52, 0.5)}
+		requireTree(t, BulkRStar(items, fanout), items, qs, 0.01, "coincident")
 	}
 }
 
-// TestRStarDuplicatePoints stresses forced reinsert and splits with many
-// coincident rectangles (zero-area ties throughout the split goodness
-// metrics).
-func TestRStarDuplicatePoints(t *testing.T) {
-	tr := NewRStar(4)
-	var items []Item
-	for i := 0; i < 100; i++ {
-		it := Item{Rect: geo.PointRect(geo.Pt(0.5, 0.5)), ID: i}
-		tr.Insert(it)
-		items = append(items, it)
-	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	requireSameIDs(t, tr.SearchCircle(geo.Pt(0.5, 0.5), 0.01, nil), linearCircle(items, geo.Pt(0.5, 0.5), 0.01), "coincident")
-}
-
-// FuzzRStarOps drives the packed R*-tree through arbitrary insert/query
-// sequences, cross-checking against a linear model and the invariants —
-// the RStar counterpart of FuzzTreeOps (minus deletes, which RStar does
-// not support).
+// FuzzRStarOps packs fuzz-decoded points (two bytes each; the first byte
+// picks the fan-out) with BulkRStar and cross-checks circular queries at
+// every point, and a few radii, against a linear scan, plus the structural
+// invariants.
 func FuzzRStarOps(f *testing.F) {
-	f.Add([]byte{0, 10, 20, 0, 30, 40, 1, 15, 25})
-	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 0, 0, 0, 1, 0, 0})
+	f.Add([]byte{0, 10, 20, 30, 40, 15, 25})
+	f.Add([]byte{12, 1, 2, 3, 4, 5, 6, 0, 0, 0, 1, 0, 0})
 	f.Add([]byte{})
+	f.Add([]byte{4, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr := NewRStar(4)
-		var live []Item
-		nextID := 0
-		pos := 0
-		next := func() (byte, bool) {
-			if pos >= len(data) {
-				return 0, false
-			}
-			b := data[pos]
-			pos++
-			return b, true
+		fanout := 4
+		if len(data) > 0 {
+			fanout += int(data[0] % 13)
+			data = data[1:]
 		}
-		for {
-			op, ok := next()
-			if !ok {
-				break
-			}
-			switch op % 2 {
-			case 0:
-				xb, ok1 := next()
-				yb, ok2 := next()
-				if !ok1 || !ok2 {
-					return
-				}
-				it := Item{
-					Rect: geo.PointRect(geo.Pt(float64(xb)/255, float64(yb)/255)),
-					ID:   nextID,
-				}
-				nextID++
-				tr.Insert(it)
-				live = append(live, it)
-			case 1:
-				xb, ok1 := next()
-				yb, ok2 := next()
-				if !ok1 || !ok2 {
-					return
-				}
-				c := geo.Pt(float64(xb)/255, float64(yb)/255)
-				const rad = 0.3
-				requireSameIDsFuzz(t, tr.SearchCircle(c, rad, nil), linearCircle(live, c, rad))
-			}
-			if err := tr.checkInvariants(); err != nil {
-				t.Fatalf("invariants: %v", err)
-			}
-			if tr.Len() != len(live) {
-				t.Fatalf("Len %d, want %d", tr.Len(), len(live))
-			}
+		var items []Item
+		var qs []geo.Point
+		for i := 0; i+1 < len(data); i += 2 {
+			p := geo.Pt(float64(data[i])/255, float64(data[i+1])/255)
+			items = append(items, Item{Rect: geo.PointRect(p), ID: len(items)})
+			qs = append(qs, p)
+		}
+		qs = append(qs, geo.Pt(0.5, 0.5))
+		tr := BulkRStar(items, fanout)
+		for _, rad := range []float64{0, 0.05, 0.3, 2} {
+			requireTree(t, tr, items, qs, rad, "fuzz")
 		}
 	})
-}
-
-func requireSameIDsFuzz(t *testing.T, got, want []int) {
-	t.Helper()
-	sort.Ints(got)
-	if len(got) != len(want) {
-		t.Fatalf("query mismatch: got %d ids, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("query mismatch at %d: %d vs %d", i, got[i], want[i])
-		}
-	}
 }

@@ -1,25 +1,16 @@
-// Package rtree implements two in-memory spatial indexes: Tree, an R-tree
-// (Guttman 1984) with quadratic node splitting, deletion with reinsertion,
-// and Sort-Tile-Recursive (STR) bulk loading; and RStar, an R*-tree
-// (Beckmann et al. 1990) over a packed flat-slice node arena — the
-// production index of BuildCandidates. Both answer the queries the CA-SC
-// framework needs: rectangle range search and circular range search (worker
-// working areas); Tree additionally supports deletion and k-nearest
-// neighbours.
+// Package rtree implements RStar, the in-memory spatial index of
+// BuildCandidates: a static R-tree packed by Sort-Tile-Recursive (STR)
+// bulk loading into a flat-slice node arena, answering circular range
+// queries (worker working areas).
 //
 // The batch-based framework of the paper (§III, Algorithm 1 lines 4-5)
 // retrieves the valid tasks of each worker with "a range query with a range
 // of r_i and a center at the current location l_i" over a spatial index
-// "(e.g., R-Tree [24])". This package is that index.
+// "(e.g., R-Tree [24])". This package is that index. Every round rebuilds
+// it from the live task set, so it needs no insertion or deletion.
 package rtree
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"casc/internal/geo"
-)
+import "casc/internal/geo"
 
 // Item is an entry stored in the tree: a bounding rectangle plus an opaque
 // integer ID chosen by the caller (e.g. a task index).
@@ -28,577 +19,5 @@ type Item struct {
 	ID   int
 }
 
-const (
-	// DefaultMaxEntries is the default node fan-out M.
-	DefaultMaxEntries = 16
-	// minFillRatio determines m = M * minFillRatio (Guttman recommends 40%).
-	minFillRatio = 0.4
-)
-
-// Tree is an R-tree. The zero value is not usable; call New or Bulk.
-type Tree struct {
-	root       *node
-	size       int
-	maxEntries int
-	minEntries int
-	height     int
-}
-
-type node struct {
-	leaf     bool
-	rects    []geo.Rect
-	children []*node // non-leaf
-	ids      []int   // leaf
-}
-
-// New returns an empty tree with the given maximum node fan-out M (use 0 for
-// DefaultMaxEntries). M must be at least 4 when specified.
-func New(maxEntries int) *Tree {
-	if maxEntries == 0 {
-		maxEntries = DefaultMaxEntries
-	}
-	if maxEntries < 4 {
-		panic(fmt.Sprintf("rtree: maxEntries %d < 4", maxEntries))
-	}
-	minEntries := int(float64(maxEntries) * minFillRatio)
-	if minEntries < 2 {
-		minEntries = 2
-	}
-	return &Tree{
-		root:       &node{leaf: true},
-		maxEntries: maxEntries,
-		minEntries: minEntries,
-		height:     1,
-	}
-}
-
-// Len returns the number of stored items.
-func (t *Tree) Len() int { return t.size }
-
-// Height returns the tree height (1 for a single leaf root).
-func (t *Tree) Height() int { return t.height }
-
-func (n *node) bbox() geo.Rect {
-	if len(n.rects) == 0 {
-		return geo.Rect{}
-	}
-	b := n.rects[0]
-	for _, r := range n.rects[1:] {
-		b = b.Union(r)
-	}
-	return b
-}
-
-// Insert adds an item to the tree.
-func (t *Tree) Insert(it Item) {
-	t.insert(it.Rect, it.ID, nil, 1)
-	t.size++
-}
-
-// insert places either a leaf entry (subtree == nil) or a whole subtree at
-// the given level counted from the leaves (level 1 == leaf level).
-func (t *Tree) insert(r geo.Rect, id int, subtree *node, level int) {
-	leafPath := t.chooseSubtree(r, level)
-	target := leafPath[len(leafPath)-1]
-	if subtree == nil {
-		target.rects = append(target.rects, r)
-		target.ids = append(target.ids, id)
-	} else {
-		target.rects = append(target.rects, r)
-		target.children = append(target.children, subtree)
-	}
-	// Split upward while nodes overflow.
-	for i := len(leafPath) - 1; i >= 0; i-- {
-		n := leafPath[i]
-		if len(n.rects) <= t.maxEntries {
-			continue
-		}
-		left, right := t.splitNode(n)
-		if i == 0 {
-			// Grow a new root.
-			t.root = &node{
-				leaf:     false,
-				rects:    []geo.Rect{left.bbox(), right.bbox()},
-				children: []*node{left, right},
-			}
-			t.height++
-		} else {
-			parent := leafPath[i-1]
-			// Replace n with left, append right.
-			for ci, c := range parent.children {
-				if c == n {
-					parent.children[ci] = left
-					parent.rects[ci] = left.bbox()
-					break
-				}
-			}
-			parent.rects = append(parent.rects, right.bbox())
-			parent.children = append(parent.children, right)
-		}
-	}
-	// Refresh bounding boxes along the path.
-	for i := len(leafPath) - 2; i >= 0; i-- {
-		parent := leafPath[i]
-		for ci, c := range parent.children {
-			parent.rects[ci] = c.bbox()
-		}
-	}
-}
-
-// chooseSubtree returns the root-to-target path for inserting a rectangle at
-// the given level (1 == leaf).
-func (t *Tree) chooseSubtree(r geo.Rect, level int) []*node {
-	path := []*node{t.root}
-	n := t.root
-	depth := t.height
-	for !n.leaf && depth > level {
-		best, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1)
-		for i, cr := range n.rects {
-			enl := cr.Enlargement(r)
-			area := cr.Area()
-			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = i, enl, area
-			}
-		}
-		n = n.children[best]
-		path = append(path, n)
-		depth--
-	}
-	return path
-}
-
-// splitNode performs Guttman's quadratic split, distributing n's entries
-// into two new nodes.
-func (t *Tree) splitNode(n *node) (*node, *node) {
-	count := len(n.rects)
-	// Pick seeds: the pair wasting the most area if grouped together.
-	seedA, seedB, worst := 0, 1, math.Inf(-1)
-	for i := 0; i < count; i++ {
-		for j := i + 1; j < count; j++ {
-			waste := n.rects[i].Union(n.rects[j]).Area() - n.rects[i].Area() - n.rects[j].Area()
-			if waste > worst {
-				seedA, seedB, worst = i, j, waste
-			}
-		}
-	}
-	left := &node{leaf: n.leaf}
-	right := &node{leaf: n.leaf}
-	assign := func(dst *node, idx int) {
-		dst.rects = append(dst.rects, n.rects[idx])
-		if n.leaf {
-			dst.ids = append(dst.ids, n.ids[idx])
-		} else {
-			dst.children = append(dst.children, n.children[idx])
-		}
-	}
-	assign(left, seedA)
-	assign(right, seedB)
-	lbox, rbox := n.rects[seedA], n.rects[seedB]
-
-	remaining := make([]int, 0, count-2)
-	for i := 0; i < count; i++ {
-		if i != seedA && i != seedB {
-			remaining = append(remaining, i)
-		}
-	}
-	for len(remaining) > 0 {
-		// Force assignment when one side must take all remaining entries to
-		// reach the minimum fill.
-		if len(left.rects)+len(remaining) == t.minEntries {
-			for _, idx := range remaining {
-				assign(left, idx)
-				lbox = lbox.Union(n.rects[idx])
-			}
-			break
-		}
-		if len(right.rects)+len(remaining) == t.minEntries {
-			for _, idx := range remaining {
-				assign(right, idx)
-				rbox = rbox.Union(n.rects[idx])
-			}
-			break
-		}
-		// PickNext: entry with maximum preference difference.
-		bestIdx, bestDiff, bestAt := -1, math.Inf(-1), 0
-		for at, idx := range remaining {
-			dl := lbox.Enlargement(n.rects[idx])
-			dr := rbox.Enlargement(n.rects[idx])
-			diff := math.Abs(dl - dr)
-			if diff > bestDiff {
-				bestIdx, bestDiff, bestAt = idx, diff, at
-			}
-		}
-		r := n.rects[bestIdx]
-		dl, dr := lbox.Enlargement(r), rbox.Enlargement(r)
-		toLeft := dl < dr
-		if dl == dr {
-			// Tie-break by area, then by entry count.
-			switch {
-			case lbox.Area() < rbox.Area():
-				toLeft = true
-			case lbox.Area() > rbox.Area():
-				toLeft = false
-			default:
-				toLeft = len(left.rects) <= len(right.rects)
-			}
-		}
-		if toLeft {
-			assign(left, bestIdx)
-			lbox = lbox.Union(r)
-		} else {
-			assign(right, bestIdx)
-			rbox = rbox.Union(r)
-		}
-		remaining = append(remaining[:bestAt], remaining[bestAt+1:]...)
-	}
-	return left, right
-}
-
-// Delete removes one item matching (rect, id). It reports whether an item
-// was found and removed. Underfull nodes are dissolved and their entries
-// reinserted (Guttman's CondenseTree).
-func (t *Tree) Delete(it Item) bool {
-	leaf, idx, path := t.findLeaf(t.root, it, []*node{t.root})
-	if leaf == nil {
-		return false
-	}
-	leaf.rects = append(leaf.rects[:idx], leaf.rects[idx+1:]...)
-	leaf.ids = append(leaf.ids[:idx], leaf.ids[idx+1:]...)
-	t.size--
-	t.condense(path)
-	return true
-}
-
-func (t *Tree) findLeaf(n *node, it Item, path []*node) (*node, int, []*node) {
-	if n.leaf {
-		for i, r := range n.rects {
-			if r == it.Rect && n.ids[i] == it.ID {
-				return n, i, path
-			}
-		}
-		return nil, 0, nil
-	}
-	for i, r := range n.rects {
-		if r.ContainsRect(it.Rect) {
-			if leaf, idx, p := t.findLeaf(n.children[i], it, append(path, n.children[i])); leaf != nil {
-				return leaf, idx, p
-			}
-		}
-	}
-	return nil, 0, nil
-}
-
-// condense walks the deletion path bottom-up removing underfull nodes and
-// reinserting their orphaned entries at the correct level.
-func (t *Tree) condense(path []*node) {
-	type orphan struct {
-		rect    geo.Rect
-		id      int
-		subtree *node
-		level   int
-	}
-	var orphans []orphan
-	for i := len(path) - 1; i >= 1; i-- {
-		n := path[i]
-		parent := path[i-1]
-		level := t.height - i // leaf level == 1 when i == height-1
-		if len(n.rects) < t.minEntries {
-			// Remove n from parent, orphan its entries.
-			for ci, c := range parent.children {
-				if c == n {
-					parent.rects = append(parent.rects[:ci], parent.rects[ci+1:]...)
-					parent.children = append(parent.children[:ci], parent.children[ci+1:]...)
-					break
-				}
-			}
-			if n.leaf {
-				for j := range n.rects {
-					orphans = append(orphans, orphan{rect: n.rects[j], id: n.ids[j]})
-				}
-			} else {
-				for j := range n.rects {
-					orphans = append(orphans, orphan{rect: n.rects[j], subtree: n.children[j], level: level - 1})
-				}
-			}
-		} else {
-			// Tighten bbox in parent.
-			for ci, c := range parent.children {
-				if c == n {
-					parent.rects[ci] = n.bbox()
-					break
-				}
-			}
-		}
-	}
-	// Shrink the root if it has a single child.
-	for !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
-		t.height--
-	}
-	if !t.root.leaf && len(t.root.children) == 0 {
-		t.root = &node{leaf: true}
-		t.height = 1
-	}
-	for _, o := range orphans {
-		if o.subtree == nil {
-			t.insert(o.rect, o.id, nil, 1)
-		} else if o.level >= t.height {
-			// The tree shrank below the orphan subtree's level; reinsert its
-			// individual entries instead.
-			var stack []*node
-			stack = append(stack, o.subtree)
-			for len(stack) > 0 {
-				n := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if n.leaf {
-					for j := range n.rects {
-						t.insert(n.rects[j], n.ids[j], nil, 1)
-					}
-				} else {
-					stack = append(stack, n.children...)
-				}
-			}
-		} else {
-			t.insert(o.subtree.bbox(), 0, o.subtree, o.level+1)
-		}
-	}
-}
-
-// Search appends to dst the IDs of all items whose rectangles intersect q
-// and returns the extended slice.
-func (t *Tree) Search(q geo.Rect, dst []int) []int {
-	return t.search(t.root, q, dst)
-}
-
-func (t *Tree) search(n *node, q geo.Rect, dst []int) []int {
-	for i, r := range n.rects {
-		if !r.Intersects(q) {
-			continue
-		}
-		if n.leaf {
-			dst = append(dst, n.ids[i])
-		} else {
-			dst = t.search(n.children[i], q, dst)
-		}
-	}
-	return dst
-}
-
-// SearchCircle appends to dst the IDs of all point items (degenerate
-// rectangles) lying within the closed disk of radius rad centered at c, and
-// returns the extended slice. For non-point items the item's rectangle
-// minimum distance to c is used, i.e. items intersecting the disk match.
-func (t *Tree) SearchCircle(c geo.Point, rad float64, dst []int) []int {
-	return t.searchCircle(t.root, c, rad, dst)
-}
-
-func (t *Tree) searchCircle(n *node, c geo.Point, rad float64, dst []int) []int {
-	for i, r := range n.rects {
-		if !r.IntersectsCircle(c, rad) {
-			continue
-		}
-		if n.leaf {
-			dst = append(dst, n.ids[i])
-		} else {
-			dst = t.searchCircle(n.children[i], c, rad, dst)
-		}
-	}
-	return dst
-}
-
-// Nearest returns up to k item IDs ordered by ascending distance from p
-// (branch-and-bound best-first search).
-func (t *Tree) Nearest(p geo.Point, k int) []int {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	type cand struct {
-		dist float64
-		id   int
-		n    *node
-	}
-	// Simple binary heap on dist.
-	var heap []cand
-	push := func(c cand) {
-		heap = append(heap, c)
-		i := len(heap) - 1
-		for i > 0 {
-			par := (i - 1) / 2
-			if heap[par].dist <= heap[i].dist {
-				break
-			}
-			heap[par], heap[i] = heap[i], heap[par]
-			i = par
-		}
-	}
-	pop := func() cand {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(heap) && heap[l].dist < heap[small].dist {
-				small = l
-			}
-			if r < len(heap) && heap[r].dist < heap[small].dist {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-		return top
-	}
-	push(cand{dist: t.root.bbox().DistToPoint(p), n: t.root})
-	var out []int
-	for len(heap) > 0 && len(out) < k {
-		c := pop()
-		if c.n == nil {
-			out = append(out, c.id)
-			continue
-		}
-		for i, r := range c.n.rects {
-			if c.n.leaf {
-				push(cand{dist: r.DistToPoint(p), id: c.n.ids[i]})
-			} else {
-				push(cand{dist: r.DistToPoint(p), n: c.n.children[i]})
-			}
-		}
-	}
-	return out
-}
-
-// Bulk builds a tree from items using Sort-Tile-Recursive packing. It is
-// much faster than repeated Insert for static datasets such as the tasks of
-// one batch. maxEntries semantics match New.
-func Bulk(items []Item, maxEntries int) *Tree {
-	t := New(maxEntries)
-	if len(items) == 0 {
-		return t
-	}
-	leaves := strPack(items, t.maxEntries)
-	level := leaves
-	height := 1
-	for len(level) > 1 {
-		level = packNodes(level, t.maxEntries)
-		height++
-	}
-	t.root = level[0]
-	t.size = len(items)
-	t.height = height
-	return t
-}
-
-// strPack tiles items into leaf nodes.
-func strPack(items []Item, m int) []*node {
-	sorted := make([]Item, len(items))
-	copy(sorted, items)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Rect.Center().X < sorted[j].Rect.Center().X
-	})
-	nLeaves := (len(sorted) + m - 1) / m
-	nSlices := int(math.Ceil(math.Sqrt(float64(nLeaves))))
-	sliceSize := nSlices * m
-	var leaves []*node
-	for s := 0; s < len(sorted); s += sliceSize {
-		end := s + sliceSize
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		slice := sorted[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].Rect.Center().Y < slice[j].Rect.Center().Y
-		})
-		for o := 0; o < len(slice); o += m {
-			oe := o + m
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			leaf := &node{leaf: true}
-			for _, it := range slice[o:oe] {
-				leaf.rects = append(leaf.rects, it.Rect)
-				leaf.ids = append(leaf.ids, it.ID)
-			}
-			leaves = append(leaves, leaf)
-		}
-	}
-	return leaves
-}
-
-// packNodes groups child nodes into parents, STR style.
-func packNodes(children []*node, m int) []*node {
-	sort.Slice(children, func(i, j int) bool {
-		return children[i].bbox().Center().X < children[j].bbox().Center().X
-	})
-	nParents := (len(children) + m - 1) / m
-	nSlices := int(math.Ceil(math.Sqrt(float64(nParents))))
-	sliceSize := nSlices * m
-	var parents []*node
-	for s := 0; s < len(children); s += sliceSize {
-		end := s + sliceSize
-		if end > len(children) {
-			end = len(children)
-		}
-		slice := children[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].bbox().Center().Y < slice[j].bbox().Center().Y
-		})
-		for o := 0; o < len(slice); o += m {
-			oe := o + m
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			parent := &node{leaf: false}
-			for _, c := range slice[o:oe] {
-				parent.rects = append(parent.rects, c.bbox())
-				parent.children = append(parent.children, c)
-			}
-			parents = append(parents, parent)
-		}
-	}
-	return parents
-}
-
-// checkInvariants validates structural invariants; used by tests.
-func (t *Tree) checkInvariants() error {
-	count, err := t.check(t.root, t.height)
-	if err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("rtree: size %d but %d reachable entries", t.size, count)
-	}
-	return nil
-}
-
-func (t *Tree) check(n *node, depth int) (int, error) {
-	if n.leaf {
-		if depth != 1 {
-			return 0, fmt.Errorf("rtree: leaf at depth %d", depth)
-		}
-		if len(n.rects) != len(n.ids) {
-			return 0, fmt.Errorf("rtree: leaf rects/ids mismatch")
-		}
-		return len(n.rects), nil
-	}
-	if len(n.rects) != len(n.children) {
-		return 0, fmt.Errorf("rtree: node rects/children mismatch")
-	}
-	total := 0
-	for i, c := range n.children {
-		if !n.rects[i].ContainsRect(c.bbox()) {
-			return 0, fmt.Errorf("rtree: child bbox %v escapes parent rect %v", c.bbox(), n.rects[i])
-		}
-		sub, err := t.check(c, depth-1)
-		if err != nil {
-			return 0, err
-		}
-		total += sub
-	}
-	return total, nil
-}
+// DefaultMaxEntries is the default node fan-out M.
+const DefaultMaxEntries = 16

@@ -5,18 +5,14 @@ import (
 	"math"
 	"sort"
 
-	"casc/internal/assign"
-	"casc/internal/checkin"
 	"casc/internal/coop"
 	"casc/internal/model"
-	"casc/internal/stats"
 	"casc/internal/trace"
 )
 
 // This file adapts plans to batch.Source and to the internal/trace event
 // stream: recording exports a plan's schedule, replaying rebuilds an
-// identical plan from the stream, and FromCheckin maps a check-in-shaped
-// real trace onto the same event format.
+// identical plan from the stream.
 
 // planSource feeds a plan into batch.Run.
 type planSource struct{ p *Plan }
@@ -156,126 +152,4 @@ func FromEvents(meta trace.ReplayMeta, events []trace.Event) (*Plan, error) {
 		}
 	}
 	return p, nil
-}
-
-// CheckinParams configures the check-in trace conversion.
-type CheckinParams struct {
-	// Rounds is how many batch rounds the trace's time span is mapped
-	// onto.
-	Rounds int
-	// MaxTasks caps the number of visits converted to tasks (0: all);
-	// visits are taken at an even stride so the cap preserves the trace's
-	// temporal shape.
-	MaxTasks int
-	// B, Capacity, Deadline, SpeedRange and RadiusRange fill the worker
-	// and task attributes the check-in trace does not carry.
-	B           int
-	Capacity    int
-	Deadline    float64
-	SpeedRange  [2]float64
-	RadiusRange [2]float64
-	// Seed drives the attribute draws and seeds the replay quality model.
-	Seed int64
-}
-
-// DefaultCheckinParams mirrors the Table II bold defaults.
-func DefaultCheckinParams() CheckinParams {
-	return CheckinParams{
-		Rounds:      10,
-		B:           3,
-		Capacity:    5,
-		Deadline:    3,
-		SpeedRange:  [2]float64{0.01, 0.05},
-		RadiusRange: [2]float64{0.05, 0.10},
-		Seed:        1,
-	}
-}
-
-// FromCheckin converts a check-in trace into a scenario event stream:
-// each user becomes a worker arriving at their home location in the round
-// of their first visit, and each (strided) visit becomes a task at its
-// venue in the round its timestamp maps to. The result plugs into the
-// same record/replay machinery as generated scenarios, so a real-world-
-// shaped trace drives batch.Run identically.
-func FromCheckin(tr *checkin.Trace, p CheckinParams) (*Plan, error) {
-	if p.Rounds <= 0 {
-		return nil, fmt.Errorf("scenario: checkin conversion needs rounds > 0")
-	}
-	if p.B < 2 || p.Capacity < p.B {
-		return nil, fmt.Errorf("scenario: checkin conversion B=%d capacity=%d invalid", p.B, p.Capacity)
-	}
-	visits := tr.Visits
-	if len(visits) == 0 {
-		return nil, fmt.Errorf("scenario: check-in trace has no visits")
-	}
-	tmin, tmax := visits[0].Time, visits[len(visits)-1].Time
-	span := tmax - tmin
-	roundOf := func(t float64) int {
-		if span <= 0 {
-			return 0
-		}
-		r := int((t - tmin) / span * float64(p.Rounds))
-		if r >= p.Rounds {
-			r = p.Rounds - 1
-		}
-		return r
-	}
-	spec := Spec{
-		Name: "checkin", Seed: p.Seed, Rounds: p.Rounds, B: p.B,
-		Capacity: p.Capacity, Deadline: p.Deadline,
-		SpeedRange: p.SpeedRange, RadiusRange: p.RadiusRange,
-		Workers: ProcessSpec{Process: ProcConstant, Rate: 0},
-		Tasks:   ProcessSpec{Process: ProcConstant, Rate: 0},
-	}
-	spec = spec.withDefaults()
-	plan := &Plan{
-		Spec:           spec,
-		workersByRound: make([][]model.Worker, p.Rounds),
-		tasksByRound:   make([][]model.Task, p.Rounds),
-	}
-	rng := stats.NewRNG(assign.ComponentSeed(p.Seed, seedKeyWorkers))
-	// Workers: one per user, arriving at the round of their first visit.
-	firstRound := make([]int, tr.NumUsers())
-	for u := range firstRound {
-		firstRound[u] = -1
-	}
-	for _, v := range visits {
-		if firstRound[v.User] < 0 {
-			firstRound[v.User] = roundOf(v.Time)
-		}
-	}
-	for u, r := range firstRound {
-		if r < 0 {
-			continue // user never checked in
-		}
-		plan.workersByRound[r] = append(plan.workersByRound[r], model.Worker{
-			ID:     u,
-			Loc:    tr.HomeLocs[u],
-			Speed:  stats.TruncGaussian(rng, spec.SpeedRange[0], spec.SpeedRange[1], stats.PaperSigma),
-			Radius: stats.TruncGaussian(rng, spec.RadiusRange[0], spec.RadiusRange[1], stats.PaperSigma),
-			Arrive: float64(r) * Interval,
-		})
-	}
-	plan.Universe = tr.NumUsers()
-	// Tasks: strided visits become venue tasks.
-	stride := 1
-	if p.MaxTasks > 0 && len(visits) > p.MaxTasks {
-		stride = (len(visits) + p.MaxTasks - 1) / p.MaxTasks
-	}
-	tid := 0
-	for i := 0; i < len(visits); i += stride {
-		v := visits[i]
-		r := roundOf(v.Time)
-		now := float64(r) * Interval
-		plan.tasksByRound[r] = append(plan.tasksByRound[r], model.Task{
-			ID:       tid,
-			Loc:      tr.VenueLocs[v.Venue],
-			Capacity: p.Capacity,
-			Created:  now,
-			Deadline: now + spec.Deadline,
-		})
-		plan.taskClass = append(plan.taskClass, -1)
-		tid++
-	}
-	return plan, nil
 }

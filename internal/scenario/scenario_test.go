@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"casc/internal/checkin"
 	"casc/internal/trace"
 )
 
@@ -413,33 +412,6 @@ func TestReplaySolverOverride(t *testing.T) {
 	if gt.Score < tpg.Score {
 		t.Logf("note: GT %v below TPG %v on this workload", gt.Score, tpg.Score)
 	}
-}
-
-func TestFromCheckin(t *testing.T) {
-	cfg := checkin.Default()
-	cfg.NumUsers, cfg.NumVenues, cfg.VisitsPerUser = 200, 50, 10
-	tr := checkin.Generate(cfg)
-	p := DefaultCheckinParams()
-	p.Rounds = 6
-	p.MaxTasks = 300
-	plan, err := FromCheckin(tr, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Rounds() != 6 {
-		t.Fatalf("rounds = %d", plan.Rounds())
-	}
-	if plan.NumWorkers() == 0 || plan.NumWorkers() > cfg.NumUsers {
-		t.Fatalf("workers = %d of %d users", plan.NumWorkers(), cfg.NumUsers)
-	}
-	if plan.NumTasks() == 0 || plan.NumTasks() > 300+50 {
-		t.Fatalf("tasks = %d, cap 300", plan.NumTasks())
-	}
-	// The converted plan must survive record → replay → run like any other.
-	replay := roundTripPlan(t, plan)
-	orig, _ := runPlan(t, RunConfig{Plan: plan})
-	re, _ := runPlan(t, RunConfig{Plan: replay})
-	sameDecisions(t, "checkin-replay", orig, re)
 }
 
 func TestEventStreamErrors(t *testing.T) {

@@ -200,15 +200,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Metrics returns the shared registry all shards report into.
-func (c *Cluster) Metrics() *metrics.Registry { return c.metrics }
-
-// Shards returns the shard count.
-func (c *Cluster) Shards() int { return len(c.shards) }
-
-// Router returns the active routing policy's name.
-func (c *Cluster) Router() string { return c.router.Name() }
-
 // Now returns the cluster's current platform time.
 func (c *Cluster) Now() float64 { return c.clock() }
 

@@ -88,18 +88,6 @@ func Weibull(r *rand.Rand, shape, scale float64) float64 {
 	return scale * math.Pow(-math.Log(u), 1/shape)
 }
 
-// GammaMean returns the mean kθ of Gamma(shape k, scale θ).
-func GammaMean(shape, scale float64) float64 { return shape * scale }
-
-// WeibullMean returns the closed-form mean λ·Γ(1+1/k) of Weibull(shape k,
-// scale λ).
-func WeibullMean(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		return 0
-	}
-	return scale * math.Gamma(1+1/shape)
-}
-
 // RenewalCount counts renewals of the interarrival process `draw` in a
 // window of the given length: the number of complete interarrival gaps
 // that fit. With unit-mean draws the expected count approaches the window

@@ -165,3 +165,15 @@ func TestSamplersDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// GammaMean returns the mean kθ of Gamma(shape k, scale θ).
+func GammaMean(shape, scale float64) float64 { return shape * scale }
+
+// WeibullMean returns the closed-form mean λ·Γ(1+1/k) of Weibull(shape k,
+// scale λ).
+func WeibullMean(shape, scale float64) float64 {
+	if shape <= 0 || scale <= 0 {
+		return 0
+	}
+	return scale * math.Gamma(1+1/shape)
+}

@@ -31,13 +31,8 @@ var groupColors = []string{
 	"#42d4f4", "#f032e6", "#9A6324", "#469990", "#808000",
 }
 
-// Instance renders the instance alone (no assignment).
-func Instance(w io.Writer, in *model.Instance, opt Options) error {
-	return render(w, in, nil, opt)
-}
-
 // Assignment renders the instance with assignment edges and per-group
-// colors.
+// colors; a nil assignment renders the instance alone.
 func Assignment(w io.Writer, in *model.Instance, a *model.Assignment, opt Options) error {
 	return render(w, in, a, opt)
 }

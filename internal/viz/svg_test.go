@@ -72,7 +72,7 @@ func TestAssignmentRendersWellFormedXML(t *testing.T) {
 func TestInstanceWithoutAssignment(t *testing.T) {
 	in, _ := testInstance(t)
 	var buf bytes.Buffer
-	if err := Instance(&buf, in, Options{}); err != nil {
+	if err := Assignment(&buf, in, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "<line ") {

@@ -123,9 +123,6 @@ func NewChurn(p ChurnParams) *Churn {
 	return c
 }
 
-// NumSites returns the total and active site counts.
-func (c *Churn) NumSites() (total, active int) { return len(c.sites), len(c.active) }
-
 // B returns the platform quorum the workload was built for.
 func (c *Churn) B() int { return c.p.B }
 
