@@ -9,7 +9,6 @@ package casc
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"casc/internal/assign"
@@ -291,69 +290,4 @@ func BenchmarkAblationGainPriority(b *testing.B) {
 			}
 		})
 	}
-}
-
-// clusteredBenchInstance builds a batch whose validity graph splits into
-// `clusters` independent components (workers and tasks confined to spatial
-// clusters 0.25 apart with working areas ≤ 0.1) — the decomposition-
-// friendly shape hyperlocal platforms actually see.
-func clusteredBenchInstance(b *testing.B, clusters, wPer, tPer int) *Instance {
-	b.Helper()
-	r := rand.New(rand.NewSource(61))
-	cols := 1
-	for cols*cols < clusters {
-		cols++
-	}
-	in := &Instance{
-		Quality: QualitySynthetic{N: clusters * wPer, Seed: 61},
-		B:       3,
-	}
-	jitter := func(c int) Point {
-		cx := 0.125 + 0.25*float64(c%cols)
-		cy := 0.125 + 0.25*float64(c/cols)
-		return Pt(cx+(r.Float64()-0.5)*0.08, cy+(r.Float64()-0.5)*0.08)
-	}
-	for i := 0; i < clusters*wPer; i++ {
-		in.Workers = append(in.Workers, Worker{
-			ID: i, Loc: jitter(i % clusters),
-			Speed: 0.05 + r.Float64()*0.05, Radius: 0.09 + r.Float64()*0.01,
-		})
-	}
-	for j := 0; j < clusters*tPer; j++ {
-		in.Tasks = append(in.Tasks, Task{
-			ID: j, Loc: jitter(j % clusters),
-			Capacity: 3 + r.Intn(2), Deadline: 5 + r.Float64()*5,
-		})
-	}
-	in.BuildCandidates(IndexRTree)
-	return in
-}
-
-// BenchmarkParallelVsMonolithic compares one GT batch solved monolithically
-// against the same batch decomposed into its connected components and
-// solved on a GOMAXPROCS-bounded pool. The decomposition pays a fixed toll
-// (sub-instance construction, re-indexed quality lookups, the merge), so on
-// a single core the monolithic run stays ahead; with GOMAXPROCS ≥ 4 the
-// nine components run concurrently and the decomposed run is ≥ 2x faster
-// wall-clock.
-func BenchmarkParallelVsMonolithic(b *testing.B) {
-	in := clusteredBenchInstance(b, 9, 36, 14)
-	ctx := context.Background()
-	b.Run("monolithic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := NewGT(GTOptions{LUB: true}).Solve(ctx, in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := NewParallel(NewGT(GTOptions{LUB: true}), ParallelOptions{})
-			if _, err := p.Solve(ctx, in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -127,10 +127,8 @@ func NewPortfolio(names []string, seed int64) (*assign.Portfolio, error) {
 	return assign.NewPortfolio(names, seed)
 }
 
-// Decomposition and component-parallel solving.
+// Decomposition.
 type (
-	// ParallelOptions configures the decomposing decorator.
-	ParallelOptions = assign.ParallelOptions
 	// InstanceComponent is one connected component of an instance's
 	// worker–task validity graph.
 	InstanceComponent = partition.Component
@@ -138,13 +136,6 @@ type (
 	// Instance.SubInstance).
 	SubIndex = model.SubIndex
 )
-
-// NewParallel wraps a solver so every instance is decomposed into the
-// connected components of its validity graph and the components are solved
-// concurrently on a bounded pool, with deterministic per-component seeds.
-func NewParallel(inner Solver, opts ParallelOptions) *assign.Parallel {
-	return assign.NewParallel(inner, opts)
-}
 
 // Components returns the independent connected components of the
 // instance's validity graph, largest first.

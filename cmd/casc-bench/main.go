@@ -12,7 +12,6 @@
 //	casc-bench -exp workers -csv        # CSV instead of aligned tables
 //	casc-bench -exp workers -json       # also write BENCH_workers.json
 //	casc-bench -exp all -metrics m.json # dump final metrics snapshot
-//	casc-bench -exp workers -parallel   # decomposed component-parallel solves
 //	casc-bench -exp all -cpuprofile cpu.pprof
 package main
 
@@ -55,8 +54,6 @@ func run() error {
 		jsonDir  = flag.String("json-dir", ".", "directory for BENCH_*.json files")
 		diffDir  = flag.String("diff", "", "diff this run against the committed BENCH_<experiment>.json baselines in this directory (exact scores, bounded latency); non-zero exit on regression")
 		metricsF = flag.String("metrics", "", "write the final metrics snapshot as JSON to this file")
-		parallel = flag.Bool("parallel", false, "decompose each batch into connected components and solve them concurrently")
-		workers  = flag.Int("workers", 0, "component worker pool under -parallel (0: GOMAXPROCS)")
 		budget   = flag.Duration("budget", 0, "per-solve budget; overruns fall through the anytime ladder (solver → TPG → RAND → empty floor)")
 		incr     = flag.Bool("incremental", false, "engine-only timing for -exp incremental: skip the from-scratch baseline and its bitwise comparison")
 		arena    = flag.Bool("arena", false, "give each arena-capable solver a persistent scratch arena per sweep point (steady-state allocation-free solves; never changes scores)")
@@ -86,8 +83,7 @@ func run() error {
 	}
 
 	opt := harness.Options{
-		Rounds: *rounds, Seed: *seed, Scale: *scale,
-		Parallel: *parallel, Workers: *workers, Budget: *budget,
+		Rounds: *rounds, Seed: *seed, Scale: *scale, Budget: *budget,
 		Incremental: *incr, Arena: *arena, Benchmem: *benchmem,
 	}
 	if *solvers != "" {

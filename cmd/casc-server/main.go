@@ -52,8 +52,6 @@ func main() {
 		omega    = flag.Float64("omega", 0.5, "Equation 1 base quality ω")
 		snapshot = flag.String("snapshot", "", "state file: loaded at startup, saved on shutdown")
 		pprofF   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		parallel = flag.Bool("parallel", false, "decompose each batch into connected components and solve them concurrently")
-		workers  = flag.Int("workers", 0, "component worker pool under -parallel (0: GOMAXPROCS)")
 		budget   = flag.Duration("budget", 0, "per-request solve deadline for POST /batch; exhaustion returns 503 + Retry-After")
 		shards   = flag.Int("shards", 0, "spatial shard count; 0 serves the single unsharded platform")
 		routerF  = flag.String("router", "region", "shard placement policy: region, round-robin or least-loaded")
@@ -86,15 +84,8 @@ func main() {
 		if *incr {
 			log.Fatal("-incremental requires -shards (the unsharded platform solves single batches with no cross-round state)")
 		}
-		parallelism := 0
-		if *parallel {
-			parallelism = *workers
-			if parallelism <= 0 {
-				parallelism = -1 // server.Config: negative selects GOMAXPROCS
-			}
-		}
 		var err error
-		p, err = buildPlatform(*snapshot, server.Config{B: *b, Alpha: *alpha, Omega: *omega, EnablePprof: *pprofF, Parallelism: parallelism, SolveBudget: *budget})
+		p, err = buildPlatform(*snapshot, server.Config{B: *b, Alpha: *alpha, Omega: *omega, EnablePprof: *pprofF, SolveBudget: *budget})
 		if err != nil {
 			log.Fatal(err)
 		}

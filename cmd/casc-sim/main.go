@@ -51,8 +51,6 @@ func main() {
 		road     = flag.Bool("road", false, "use a road-network travel model instead of Euclidean")
 		traceF   = flag.String("trace", "", "with -rounds: record per-batch JSONL trace to this file")
 		metricsF = flag.String("metrics", "", "write the final metrics snapshot as JSON to this file")
-		parallel = flag.Bool("parallel", false, "decompose each batch into connected components and solve them concurrently")
-		workers  = flag.Int("workers", 0, "component worker pool under -parallel (0: GOMAXPROCS)")
 		budget   = flag.Duration("budget", 0, "per-round solve budget; overruns fall through the anytime ladder (solver → TPG → RAND → empty floor)")
 		shards   = flag.Int("shards", 0, "with -rounds: drive the region-sharded cluster tier with this many spatial shards (0: monolithic batch pipeline)")
 		incr     = flag.Bool("incremental", false, "with -rounds: solve through the persistent incremental engine (dirty-component re-solve; bitwise identical rounds for deterministic solvers)")
@@ -103,17 +101,10 @@ func main() {
 		if *data != "" {
 			fatal(fmt.Errorf("-scenario/-replay generate their own arrivals; drop -data"))
 		}
-		par := 0
-		if *parallel {
-			par = *workers
-			if par <= 0 {
-				par = -1
-			}
-		}
 		runScenario(ctx, scenarioArgs{
 			ref: *scenRef, replay: *replayF, record: *record, solver: *replaySv,
 			counterfactualK: *cfK, report: *reportF, tracePath: *traceF,
-			reg: reg, parallelism: par, budget: *budget, chaos: chaosCfg,
+			reg: reg, budget: *budget, chaos: chaosCfg,
 			incremental: *incr, shards: *shards,
 		})
 		ladderSummary(reg)
@@ -131,14 +122,7 @@ func main() {
 			ladderSummary(reg)
 			return
 		}
-		par := 0
-		if *parallel {
-			par = *workers
-			if par <= 0 {
-				par = -1 // batch.Config: negative selects GOMAXPROCS
-			}
-		}
-		simulate(ctx, *solver, *compare, *m, *n, *seed, *rounds, kind, *traceF, reg, par, *budget, chaosCfg, *incr)
+		simulate(ctx, *solver, *compare, *m, *n, *seed, *rounds, kind, *traceF, reg, *budget, chaosCfg, *incr)
 		ladderSummary(reg)
 		return
 	}
@@ -170,9 +154,6 @@ func main() {
 		s, err := assign.ByName(name, *seed)
 		if err != nil {
 			fatal(err)
-		}
-		if *parallel {
-			s = assign.NewParallel(s, assign.ParallelOptions{Workers: *workers, Seed: *seed, Metrics: reg})
 		}
 		s = assign.Instrument(s, reg)
 		var ladder *resilience.Ladder
@@ -227,7 +208,7 @@ func main() {
 // simulate runs the Algorithm 1 simulator: fresh worker/task waves each
 // round, carry-over of unserved tasks, busy workers returning after
 // service.
-func simulate(ctx context.Context, solverName string, compare bool, m, n int, seed int64, rounds int, kind model.IndexKind, tracePath string, reg *metrics.Registry, parallelism int, budget time.Duration, chaosCfg *resilience.ChaosConfig, incremental bool) {
+func simulate(ctx context.Context, solverName string, compare bool, m, n int, seed int64, rounds int, kind model.IndexKind, tracePath string, reg *metrics.Registry, budget time.Duration, chaosCfg *resilience.ChaosConfig, incremental bool) {
 	names := []string{solverName}
 	if compare {
 		names = assign.AllNames()
@@ -270,7 +251,6 @@ func simulate(ctx context.Context, solverName string, compare bool, m, n int, se
 			Trace:       tw,
 			TraceRun:    name,
 			Metrics:     reg,
-			Parallelism: parallelism,
 			Seed:        seed,
 			RoundBudget: budget,
 			Chaos:       chaosCfg,
@@ -303,7 +283,6 @@ type scenarioArgs struct {
 	report          string
 	tracePath       string
 	reg             *metrics.Registry
-	parallelism     int
 	budget          time.Duration
 	chaos           *resilience.ChaosConfig
 	incremental     bool
@@ -377,7 +356,6 @@ func runScenario(ctx context.Context, a scenarioArgs) {
 		Plan:            plan,
 		Solver:          solverName,
 		CounterfactualK: a.counterfactualK,
-		Parallelism:     a.parallelism,
 		Budget:          a.budget,
 		Chaos:           a.chaos,
 		Incremental:     a.incremental,

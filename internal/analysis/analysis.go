@@ -1,7 +1,7 @@
 // Package analysis implements casc-lint, a from-scratch static-analysis
 // suite (go/parser + go/types only, no golang.org/x/tools) that enforces
 // the determinism, cancellation and observability invariants the CA-SC
-// solver stack depends on. Component-parallel solving reproduces the
+// solver stack depends on. Incremental and sharded rounds reproduce the
 // paper's scores only because every solver path is deterministic under a
 // seed; the rules here turn that property — and the cancellation and
 // metrics contracts around it — into machine-checked invariants instead

@@ -20,13 +20,12 @@ import (
 // change is result lifetime: the *model.Assignment returned by a solve is
 // arena-owned and valid only until the next solve on the same arena.
 // Callers that retain results across solves (the harness tables, batch
-// history) must consume or Clone them first; the Parallel pool and the
-// incremental engine lift each component result before reusing the arena.
+// history) must consume or Clone them first; the incremental engine lifts
+// each component result before reusing the arena.
 //
 // An Arena is not safe for concurrent use. Solvers default to a throwaway
 // arena per Solve (same code path, no reuse), so plain TPG/GT values stay
-// as concurrency-safe as before; reuse is opt-in via SetArena, and
-// Parallel's forks each get a per-pool-worker arena.
+// as concurrency-safe as before; reuse is opt-in via SetArena.
 type Arena struct {
 	// used reports whether any solve has drawn from the arena; reuses and
 	// grows accumulate across solves and are flushed as metric deltas by the
@@ -87,8 +86,7 @@ func NewArena() *Arena { return &Arena{} }
 // Solve results arena-owned (valid until the next Solve on that arena) and
 // the solver unsafe for concurrent Solve calls; passing nil restores the
 // default throwaway-arena behaviour. Forks never inherit the parent's
-// arena — Parallel runs forks concurrently and assigns each pool worker its
-// own.
+// arena; whoever forks attaches one via SetArena if it wants reuse.
 type ArenaHolder interface {
 	SetArena(*Arena)
 }

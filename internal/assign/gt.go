@@ -84,9 +84,8 @@ func (s *GT) SetArena(ar *Arena) { s.Arena = ar }
 
 // Fork implements Forker: the fork shares nothing mutable with the
 // receiver (Stats/Anytime are per-fork, and the arena is deliberately not
-// inherited — forks run concurrently; the pool attaches per-worker arenas
-// via SetArena) and adopts the derived component seed, which only matters
-// under RandomInit.
+// inherited; the caller attaches one via SetArena) and adopts the derived
+// component seed, which only matters under RandomInit.
 func (s *GT) Fork(seed int64) Solver {
 	opts := s.opts
 	opts.Seed = seed

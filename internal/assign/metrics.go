@@ -87,17 +87,6 @@ func Instrument(s Solver, reg *metrics.Registry) Solver {
 		v.Metrics = reg
 	case *TPG:
 		v.Metrics = reg
-	case *Parallel:
-		// The decorator records its component gauges itself, and every
-		// component fork inherits the registry through the inner solver's
-		// Metrics field.
-		v.opts.Metrics = reg
-		switch inner := v.inner.(type) {
-		case *GT:
-			inner.Metrics = reg
-		case *TPG:
-			inner.Metrics = reg
-		}
 	case *instrumented, *instrumentedForker:
 		return v // already wrapped
 	}
@@ -113,9 +102,9 @@ type instrumented struct {
 }
 
 // instrumentedForker wraps a Forker. It forwards Fork (instrumenting each
-// fork into the same registry) and SetArena, so the decorators that probe
-// for them — Parallel and the incremental engine — take the same per-
-// component fork-and-arena path with metrics on as with metrics off.
+// fork into the same registry) and SetArena, so the incremental engine,
+// which probes for them, takes the same per-component fork-and-arena path
+// with metrics on as with metrics off.
 type instrumentedForker struct{ instrumented }
 
 // Fork implements Forker.

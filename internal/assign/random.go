@@ -23,7 +23,7 @@ func NewRandom(seed int64) *Random { return &Random{seed: seed} }
 func (s *Random) Name() string { return "RAND" }
 
 // Fork implements Forker: the fork adopts the derived component seed, so a
-// decomposed RAND run is reproducible regardless of pool scheduling.
+// decomposed RAND run is reproducible regardless of component order.
 func (s *Random) Fork(seed int64) Solver { return NewRandom(seed) }
 
 // Solve implements Solver.

@@ -48,8 +48,8 @@ func (s *TPG) SetArena(ar *Arena) { s.Arena = ar }
 // Fork implements Forker: TPG is deterministic, so the fork just carries
 // the configuration (and the shared, concurrency-safe metrics registry)
 // while leaving no mutable state in common — the arena in particular is
-// deliberately NOT inherited, since forks run concurrently; the pool that
-// forked us attaches a per-worker arena via SetArena if it wants one.
+// deliberately NOT inherited; the caller that forked us attaches one via
+// SetArena if it wants one.
 func (s *TPG) Fork(int64) Solver { return &TPG{SeedLimit: s.SeedLimit, Metrics: s.Metrics} }
 
 // tpgCounters accumulates per-Solve instrumentation locally so the hot
@@ -488,8 +488,8 @@ func (h pairHeap) Len() int { return len(h) }
 // pair the identical prior — and without the tie-break the pop order among
 // equal gains would depend on incidental heap layout, i.e. on which other
 // pairs happen to share the heap. The tie-break makes stage two a function
-// of the component alone, so solving components separately (parallel or
-// sharded decomposition) commits the same pairs as one monolithic solve.
+// of the component alone, so solving components separately (incremental
+// or sharded decomposition) commits the same pairs as one monolithic solve.
 func (h pairHeap) Less(i, j int) bool {
 	if h[i].delta != h[j].delta {
 		return h[i].delta > h[j].delta

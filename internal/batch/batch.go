@@ -120,13 +120,7 @@ type Config struct {
 	// the structured replacement for reading BatchStats.Elapsed by hand;
 	// the field stays for backward compatibility.
 	Metrics *metrics.Registry
-	// Parallelism, when non-zero, wraps Solver in assign.NewParallel so
-	// every batch instance is decomposed into the connected components of
-	// its validity graph and the components are solved concurrently:
-	// positive values bound the worker pool, negative values use
-	// runtime.GOMAXPROCS(0). Zero keeps the monolithic solve.
-	Parallelism int
-	// Seed feeds per-component seed derivation under Parallelism (only
+	// Seed feeds per-component seed derivation under Incremental (only
 	// randomized solvers notice) and the chaos fault schedule under Chaos.
 	Seed int64
 	// RoundBudget, when positive, bounds each round's solve wall time by
@@ -253,8 +247,8 @@ type sim struct {
 	em      *engineMetrics
 }
 
-// newSim validates cfg and builds the solver stack exactly once:
-// Parallel decomposition, the budget/chaos ladder, and instrumentation.
+// newSim validates cfg and builds the solver stack exactly once: the
+// budget/chaos ladder, and instrumentation.
 func newSim(cfg Config, src Source) (*sim, error) {
 	if cfg.Solver == nil {
 		return nil, fmt.Errorf("batch: nil solver")
@@ -272,21 +266,7 @@ func newSim(cfg Config, src Source) (*sim, error) {
 		cfg.ServiceDuration = 1
 	}
 	solver := cfg.Solver
-	if cfg.Parallelism != 0 {
-		workers := cfg.Parallelism
-		if workers < 0 {
-			workers = 0 // NewParallel resolves 0 to GOMAXPROCS
-		}
-		solver = assign.NewParallel(solver, assign.ParallelOptions{
-			Workers: workers,
-			Seed:    cfg.Seed,
-			Metrics: cfg.Metrics,
-		})
-	}
 	if cfg.RoundBudget > 0 || cfg.Chaos != nil {
-		// The ladder wraps the (possibly parallel) solver as its primary
-		// rung so the budget bounds the whole decomposed solve, not each
-		// component; fallback rungs are monolithic but cheap.
 		rungs := resilience.Chain(solver, cfg.Seed)
 		if cfg.Chaos != nil {
 			cc := *cfg.Chaos

@@ -441,33 +441,6 @@ func TestPatienceReducesScoreButModelsChurn(t *testing.T) {
 	}
 }
 
-func TestParallelismMatchesMonolithic(t *testing.T) {
-	run := func(parallelism int) *Result {
-		t.Helper()
-		res, err := Run(context.Background(), Config{
-			Solver:      assign.NewTPG(),
-			Rounds:      4,
-			B:           3,
-			Parallelism: parallelism,
-			Seed:        31,
-		}, uniformSource(60, 20, 4, 31))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	mono := run(0)
-	for _, parallelism := range []int{-1, 1, 4} {
-		par := run(parallelism)
-		if par.TotalScore != mono.TotalScore {
-			t.Errorf("Parallelism=%d: score %v != monolithic %v", parallelism, par.TotalScore, mono.TotalScore)
-		}
-		if par.DispatchedTasks != mono.DispatchedTasks {
-			t.Errorf("Parallelism=%d: dispatched %d != monolithic %d", parallelism, par.DispatchedTasks, mono.DispatchedTasks)
-		}
-	}
-}
-
 // TestBudgetedRoundsCompleteUnderFullChaos is the engine-level version of
 // the acceptance criterion: with 100% rung-failure injection and a 50ms
 // round budget, every round completes on the feasibility floor, tasks

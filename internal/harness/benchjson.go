@@ -47,11 +47,6 @@ type BenchFile struct {
 	Rounds     int     `json:"rounds"`
 	Seed       int64   `json:"seed"`
 	Scale      float64 `json:"scale"`
-	// Parallel and Workers record whether the run solved decomposed
-	// components concurrently, so BENCH files from decomposed and
-	// monolithic runs are distinguishable in the perf trajectory.
-	Parallel bool `json:"parallel,omitempty"`
-	Workers  int  `json:"workers,omitempty"`
 	// BudgetMS records the per-solve ladder budget in milliseconds (0:
 	// unbudgeted), so score-vs-budget sweeps are distinguishable in the
 	// perf trajectory.
@@ -144,8 +139,6 @@ func (s *Series) BenchFile(opt Options) *BenchFile {
 		Rounds:      opt.Rounds,
 		Seed:        opt.Seed,
 		Scale:       opt.Scale,
-		Parallel:    opt.Parallel,
-		Workers:     opt.Workers,
 		BudgetMS:    float64(opt.Budget) / float64(time.Millisecond),
 		Incremental: opt.Incremental,
 		Arena:       opt.Arena,
@@ -227,11 +220,10 @@ func (b *BenchFile) DiffAgainst(base *BenchFile) error {
 		fail("experiment %q != baseline %q", b.Experiment, base.Experiment)
 	}
 	if b.Rounds != base.Rounds || b.Seed != base.Seed || b.Scale != base.Scale ||
-		b.Parallel != base.Parallel || b.BudgetMS != base.BudgetMS ||
-		b.Incremental != base.Incremental {
-		fail("run config (rounds=%d seed=%d scale=%v parallel=%v budget=%vms) != baseline (rounds=%d seed=%d scale=%v parallel=%v budget=%vms); regenerate the baseline or fix the flags",
-			b.Rounds, b.Seed, b.Scale, b.Parallel, b.BudgetMS,
-			base.Rounds, base.Seed, base.Scale, base.Parallel, base.BudgetMS)
+		b.BudgetMS != base.BudgetMS || b.Incremental != base.Incremental {
+		fail("run config (rounds=%d seed=%d scale=%v budget=%vms) != baseline (rounds=%d seed=%d scale=%v budget=%vms); regenerate the baseline or fix the flags",
+			b.Rounds, b.Seed, b.Scale, b.BudgetMS,
+			base.Rounds, base.Seed, base.Scale, base.BudgetMS)
 	}
 	type key struct{ x, solver string }
 	fresh := make(map[key]BenchEntry, len(b.Entries))

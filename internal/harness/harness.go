@@ -95,12 +95,6 @@ type Options struct {
 	// solve the experiment performs (latency/score histograms plus the
 	// GT/TPG internals), so a bench run doubles as a metrics datapoint.
 	Metrics *metrics.Registry
-	// Parallel decomposes every batch into the connected components of its
-	// validity graph and solves them concurrently (assign.NewParallel), so
-	// experiments can be rerun decomposed-vs-monolithic.
-	Parallel bool
-	// Workers bounds the component pool under Parallel (0: GOMAXPROCS).
-	Workers int
 	// Budget, when positive, bounds each solve's wall time by wrapping
 	// every solver in a resilience.Ladder (solver → TPG → RAND), so the
 	// experiment measures what each approach delivers *within* the budget
@@ -122,23 +116,9 @@ type Options struct {
 	Benchmem bool
 }
 
-// parallelize wraps s in the decomposing decorator when Parallel is set;
-// otherwise it returns s untouched.
-func (o Options) parallelize(s assign.Solver) assign.Solver {
-	if !o.Parallel {
-		return s
-	}
-	return assign.NewParallel(s, assign.ParallelOptions{
-		Workers: o.Workers,
-		Seed:    o.Seed,
-		Metrics: o.Metrics,
-	})
-}
-
-// decorate applies the experiment's solver decorators in wiring order:
-// decomposition under Parallel, then the anytime ladder under Budget.
+// decorate wraps s in the anytime ladder under Budget; otherwise it
+// returns s untouched.
 func (o Options) decorate(s assign.Solver) assign.Solver {
-	s = o.parallelize(s)
 	if o.Budget <= 0 {
 		return s
 	}
@@ -293,7 +273,7 @@ func sweepPoint(ctx context.Context, label string, opt Options, mk instanceMaker
 			}
 			if opt.Arena {
 				// Attach before decoration so the arena lands on the raw
-				// solver; Parallel forks manage their own pool arenas.
+				// solver.
 				if h, ok := solver.(assign.ArenaHolder); ok {
 					ar := arenas[name]
 					if ar == nil {

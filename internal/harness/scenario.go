@@ -28,13 +28,6 @@ func runScenario(ctx context.Context, opt Options) (*Series, error) {
 		Figure:     "Extra: scenario engine — arrival processes, SLO tiers, counterfactual regret",
 		XLabel:     "scenario",
 	}
-	parallelism := 0
-	if opt.Parallel {
-		parallelism = opt.Workers
-		if parallelism == 0 {
-			parallelism = -1
-		}
-	}
 	for _, variant := range scenarioVariants() {
 		spec, err := scenario.Load(variant)
 		if err != nil {
@@ -54,7 +47,6 @@ func runScenario(ctx context.Context, opt Options) (*Series, error) {
 				Plan:            plan,
 				Solver:          name,
 				CounterfactualK: -1,
-				Parallelism:     parallelism,
 				Budget:          opt.Budget,
 				Metrics:         opt.Metrics,
 			})

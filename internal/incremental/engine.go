@@ -67,7 +67,7 @@ type Config struct {
 	// incremental graph maintenance.
 	Carry bool
 	// Seed is the base seed from which per-component seeds are derived for
-	// seed-taking solvers, matching assign.Parallel's derivation.
+	// seed-taking solvers (assign.ComponentSeed).
 	Seed int64
 	// Metrics, when non-nil, receives the casc_incremental_* series.
 	Metrics *metrics.Registry
@@ -516,8 +516,8 @@ func (e *Engine) Solve(ctx context.Context, solver assign.Solver) (*model.Assign
 		sub, idx := r.In.SubInstance(c.Workers, c.Tasks)
 		s := solver
 		if f, ok := solver.(assign.Forker); ok {
-			// Mirror assign.Parallel's per-component seed derivation so
-			// seed-taking solvers see the same seeds either way.
+			// Seed each fork from the component's identity, so seed-taking
+			// solvers see the same seeds however the components are visited.
 			s = f.Fork(assign.ComponentSeed(e.cfg.Seed, c.Key()))
 			// Forks are throwaway, so hand them the engine's arena (solves
 			// are serial and each result is lifted before the next solve).

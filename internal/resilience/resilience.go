@@ -150,7 +150,7 @@ func NewLadder(cfg Config, rungs ...assign.Solver) (*Ladder, error) {
 	return l, nil
 }
 
-// Name implements assign.Solver; it is transparent like Parallel's.
+// Name implements assign.Solver; it is transparent: the primary rung's name.
 func (l *Ladder) Name() string { return l.rungs[0].Name() }
 
 // Outcome reports how one budgeted solve went.

@@ -72,8 +72,6 @@ type counterfactual struct {
 	chosen     string
 	alternates []string
 	seed       int64
-	parallel   bool
-	workers    int
 	tw         *trace.Writer
 	rep        CounterfactualReport
 	altTotals  []float64
@@ -84,7 +82,7 @@ type counterfactual struct {
 // trace.Record per alternate per round under run name "cf:<solver>" —
 // interleaved after the chosen record, so casc-trace summarize shows the
 // chosen run and every counterfactual side by side.
-func newCounterfactual(spec Spec, k int, parallel bool, workers int, tw *trace.Writer) (*counterfactual, error) {
+func newCounterfactual(spec Spec, k int, tw *trace.Writer) (*counterfactual, error) {
 	alts := spec.Alternates
 	if k > 0 && k < len(alts) {
 		alts = alts[:k]
@@ -101,8 +99,6 @@ func newCounterfactual(spec Spec, k int, parallel bool, workers int, tw *trace.W
 		chosen:     spec.Solver,
 		alternates: alts,
 		seed:       spec.Seed,
-		parallel:   parallel,
-		workers:    workers,
 		tw:         tw,
 		altTotals:  make([]float64, len(alts)),
 	}
@@ -129,9 +125,6 @@ func (c *counterfactual) observe(ctx context.Context, round int, now float64, in
 		solver, err := assign.ByName(name, altSeed)
 		if err != nil {
 			return fmt.Errorf("scenario: alternate %q: %w", name, err)
-		}
-		if c.parallel {
-			solver = assign.NewParallel(solver, assign.ParallelOptions{Workers: c.workers, Seed: altSeed})
 		}
 		alt, err := solver.Solve(ctx, in)
 		if err != nil {

@@ -29,9 +29,8 @@ type RunConfig struct {
 	// Counterfactuals need the monolithic observer hook and therefore
 	// reject Shards > 0.
 	CounterfactualK int
-	// Parallelism, Budget, Chaos and Incremental mirror the batch.Config
-	// fields of the same names.
-	Parallelism int
+	// Budget, Chaos and Incremental mirror the batch.Config fields of the
+	// same names (Budget is batch.Config.RoundBudget).
 	Budget      time.Duration
 	Chaos       *resilience.ChaosConfig
 	Incremental bool
@@ -116,7 +115,7 @@ func runMonolithic(ctx context.Context, cfg RunConfig, solverName string) (*Repo
 		if k < 0 {
 			k = 0 // keep all alternates
 		}
-		cf, err = newCounterfactual(cfSpec, k, cfg.Parallelism != 0, cfg.Parallelism, cfg.Trace)
+		cf, err = newCounterfactual(cfSpec, k, cfg.Trace)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +142,6 @@ func runMonolithic(ctx context.Context, cfg RunConfig, solverName string) (*Repo
 		Patience:    cfg.Patience,
 		Trace:       cfg.Trace,
 		Metrics:     cfg.Metrics,
-		Parallelism: cfg.Parallelism,
 		Seed:        spec.Seed,
 		RoundBudget: cfg.Budget,
 		Chaos:       cfg.Chaos,

@@ -27,7 +27,6 @@ import (
 type Platform struct {
 	mu          sync.RWMutex
 	b           int
-	parallelism int           // Config.Parallelism
 	solveBudget time.Duration // Config.SolveBudget
 	history     *coop.History
 	clock       func() float64
@@ -105,11 +104,6 @@ type Config struct {
 	// platform mux. Off by default: profiling endpoints expose internals
 	// and cost CPU, so production deployments opt in explicitly.
 	EnablePprof bool
-	// Parallelism, when non-zero, decomposes each batch into the connected
-	// components of its validity graph and solves them concurrently
-	// (assign.NewParallel): positive values bound the pool, negative use
-	// runtime.GOMAXPROCS(0). The component gauges appear on GET /metrics.
-	Parallelism int
 	// SolveBudget, when positive, bounds each POST /batch solve: the
 	// request runs under a context deadline of this duration and the
 	// solver is wrapped in a resilience.Ladder (solver → TPG → RAND), so
@@ -135,7 +129,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	}
 	p := &Platform{
 		b:           cfg.B,
-		parallelism: cfg.Parallelism,
 		solveBudget: cfg.SolveBudget,
 		history:     coop.NewHistory(0, cfg.Alpha, cfg.Omega),
 		clock:       cfg.Clock,
@@ -252,20 +245,14 @@ var ErrBudgetExhausted = errors.New("server: solve budget exhausted")
 // resilience.Ladder and ErrBudgetExhausted is returned — dispatching
 // nothing — when the budget is gone before any rung delivers.
 func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResult, error) {
-	seed := int64(p.batchCount())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// The seed is the batch count, read under the same lock that advances
+	// it, so two concurrent batches never solve with the same seed.
+	seed := int64(p.batches)
 	solver, err := assign.ByName(solverName, seed)
 	if err != nil {
 		return nil, err
-	}
-	if p.parallelism != 0 {
-		workers := p.parallelism
-		if workers < 0 {
-			workers = 0 // NewParallel resolves 0 to GOMAXPROCS
-		}
-		solver = assign.NewParallel(solver, assign.ParallelOptions{
-			Workers: workers,
-			Seed:    seed,
-		})
 	}
 	solver = assign.Instrument(solver, p.metrics)
 	var ladder *resilience.Ladder
@@ -277,8 +264,6 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 			return nil, err
 		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if ctx.Err() != nil {
 		// The request's solve deadline expired while it was queued for the
 		// lock: refuse instead of solving with no budget left.
@@ -313,14 +298,7 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 	for _, id := range taskIDs {
 		in.Tasks = append(in.Tasks, p.tasks[id])
 	}
-	// coop.Cached is not safe for concurrent use, and Parallel solves
-	// components concurrently on this one model, so a parallel solve reads
-	// the history (safe for concurrent reads) without the memo.
-	if p.parallelism != 0 {
-		in.Quality = coop.NewSubset(p.history, workerIDs)
-	} else {
-		in.Quality = coop.NewCached(coop.NewSubset(p.history, workerIDs))
-	}
+	in.Quality = coop.NewCached(coop.NewSubset(p.history, workerIDs))
 	in.BuildCandidates(model.IndexRTree)
 
 	var a *model.Assignment
@@ -335,9 +313,6 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 		if err != nil {
 			return nil, err
 		}
-	}
-	if p.parallelism != 0 {
-		in.Quality = coop.NewCached(in.Quality) // single-threaded from here on
 	}
 	res.Upper = assign.Upper(in)
 
@@ -379,12 +354,6 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 		p.advance()
 	}
 	return res, nil
-}
-
-func (p *Platform) batchCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.batches
 }
 
 // RateTask records the requester's rating s ∈ [0,1] for a dispatched task.

@@ -373,49 +373,6 @@ func TestHTTPBatchDefaultsSolver(t *testing.T) {
 	}
 }
 
-func TestRunBatchParallelExposesComponentGauges(t *testing.T) {
-	p, err := NewPlatform(Config{B: 2, Parallelism: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, loc := range []geo.Point{
-		geo.Pt(0.2, 0.2), geo.Pt(0.22, 0.2), // cluster 1
-		geo.Pt(0.8, 0.8), geo.Pt(0.8, 0.82), // cluster 2
-	} {
-		if _, err := p.RegisterWorker(loc, 0.1, 0.1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := p.PostTask(geo.Pt(0.21, 0.21), 2, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.PostTask(geo.Pt(0.8, 0.81), 2, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunBatch(context.Background(), "TPG"); err != nil {
-		t.Fatal(err)
-	}
-
-	rr := httptest.NewRecorder()
-	p.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("GET /metrics: %d", rr.Code)
-	}
-	body := rr.Body.String()
-	for _, name := range []string{
-		"casc_parallel_components",
-		"casc_parallel_component_size",
-		"casc_parallel_component_solve_seconds",
-	} {
-		if !strings.Contains(body, name) {
-			t.Errorf("GET /metrics missing %s", name)
-		}
-	}
-	if !strings.Contains(body, `casc_parallel_components{solver="TPG"} 2`) {
-		t.Errorf("component gauge should report the two spatial clusters; body:\n%s", body)
-	}
-}
-
 // TestSolveBudgetNormalRequestsUnaffected: a generous budget leaves the
 // batch endpoint behaving exactly as before — the ladder's primary rung
 // finishes in budget and is returned.
