@@ -9,9 +9,11 @@ package casc
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"casc/internal/assign"
+	"casc/internal/coop"
 	"casc/internal/harness"
 )
 
@@ -118,7 +120,10 @@ func BenchmarkAblationSpatialIndex(b *testing.B) {
 }
 
 // BenchmarkAblationQualityModel compares GT's cost under the dense-matrix,
-// hash-synthetic and Jaccard quality models (DESIGN.md §4.1).
+// hash-synthetic and Jaccard quality models (DESIGN.md §4.1), and under an
+// Equation 1 history read the way the HTTP tier reads it: "history" is the
+// bare Subset view of the platform's history, "cached-history" wraps that
+// view in a fresh Cached per solve, as server.Platform.RunBatch does.
 func BenchmarkAblationQualityModel(b *testing.B) {
 	p := DefaultWorkload()
 	p.NumWorkers, p.NumTasks = 300, 120
@@ -139,21 +144,42 @@ func BenchmarkAblationQualityModel(b *testing.B) {
 		groups[i] = []int{i % 40, 40 + i%25, 65 + i%11}
 		// Jaccard needs sorted unique lists; the construction above is both.
 	}
+	// The platform's history spans every registered worker (here 2n, with
+	// the instance's workers at the even IDs); a tenth of the pairs carry
+	// one to three ratings.
+	hist := NewQualityHistory(2*n, 0.5, 0.5)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2*n; i++ {
+		for k := i + 1; k < 2*n; k++ {
+			if rng.Float64() < 0.1 {
+				for r := rng.Intn(3); r >= 0; r-- {
+					hist.Record(i, k, rng.Float64())
+				}
+			}
+		}
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = 2 * i
+	}
+	fixed := func(q QualityModel) func() QualityModel { return func() QualityModel { return q } }
 	models := []struct {
 		name string
-		q    QualityModel
+		q    func() QualityModel // called once per solve
 	}{
-		{"synthetic", base.Quality},
-		{"matrix", matrix},
-		{"jaccard", NewQualityJaccard(groups)},
+		{"synthetic", fixed(base.Quality)},
+		{"matrix", fixed(matrix)},
+		{"jaccard", fixed(NewQualityJaccard(groups))},
+		{"history", fixed(coop.NewSubset(hist, ids))},
+		{"cached-history", func() QualityModel { return coop.NewCached(coop.NewSubset(hist, ids)) }},
 	}
 	ctx := context.Background()
 	for _, m := range models {
 		b.Run(m.name, func(b *testing.B) {
 			in := *base
-			in.Quality = m.q
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				in.Quality = m.q()
 				if _, err := NewGT(GTOptions{}).Solve(ctx, &in); err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package coop
 
 import (
+	"math"
 	"testing"
 )
 
@@ -44,19 +45,61 @@ func TestCachedMemoizes(t *testing.T) {
 	if counter.calls != 1 {
 		t.Errorf("base evaluated %d times, want 1", counter.calls)
 	}
-	if len(c.memo) != 1 {
-		t.Errorf("memo holds %d pairs, want 1", len(c.memo))
-	}
 	c.Quality(1, 2)
-	if len(c.memo) != 2 {
-		t.Errorf("memo holds %d pairs, want 2", len(c.memo))
+	c.Quality(2, 1)
+	c.Quality(3, 7)
+	if counter.calls != 2 {
+		t.Errorf("base evaluated %d times after a second pair, want 2", counter.calls)
 	}
 	// Diagonal never touches the base.
-	before := counter.calls
 	if c.Quality(4, 4) != 0 {
 		t.Error("diagonal nonzero")
 	}
-	if counter.calls != before {
+	if counter.calls != 2 {
 		t.Error("diagonal evaluated the base")
 	}
+}
+
+// FuzzCachedTransparent drives a pair stream through Cached over a counting
+// base: every answer must equal the base's bitwise, and the base must run
+// exactly once per distinct unordered off-diagonal pair. Each input byte
+// pair names a pair among n workers; n up to 512 lets one stream hold
+// enough distinct pairs to double the table several times.
+func FuzzCachedTransparent(f *testing.F) {
+	f.Add(uint16(10), []byte{3, 7, 7, 3, 4, 4, 1, 2, 2, 1})
+	f.Add(uint16(512), []byte{0, 1, 1, 0, 255, 254, 0, 0, 9, 200})
+	seq := make([]byte, 0, 2048)
+	for i := 0; i < 1024; i++ {
+		seq = append(seq, byte(i*37), byte(i*101+i/256))
+	}
+	f.Add(uint16(300), seq)
+	f.Fuzz(func(t *testing.T, n uint16, data []byte) {
+		n = n%512 + 1
+		counter := &countingModel{base: Synthetic{N: int(n), Seed: 7}}
+		c := NewCached(counter)
+		seen := make(map[[2]int]bool)
+		for j := 0; j+1 < len(data); j += 2 {
+			i, k := int(data[j]), int(data[j+1])
+			if j%4 == 2 { // every other pair reaches indices above 255
+				i, k = i+256, k+256
+			}
+			i, k = i%int(n), k%int(n)
+			got, want := c.Quality(i, k), counter.base.Quality(i, k)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Quality(%d,%d) = %v, base %v", i, k, got, want)
+			}
+			if i != k {
+				seen[[2]int{min(i, k), max(i, k)}] = true
+			}
+		}
+		// Replay the whole stream: all hits now, so the count must hold.
+		for key := range seen {
+			if got, want := c.Quality(key[1], key[0]), counter.base.Quality(key[0], key[1]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("reversed replay of %v = %v, base %v", key, got, want)
+			}
+		}
+		if counter.calls != len(seen) {
+			t.Fatalf("base evaluated %d times for %d distinct pairs", counter.calls, len(seen))
+		}
+	})
 }

@@ -2,6 +2,7 @@ package coop
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -199,6 +200,9 @@ func TestHistoryPanics(t *testing.T) {
 		"bad omega": func() { NewHistory(2, 0.5, 1.5) },
 		"self":      func() { NewHistory(2, 0.5, 0.5).Record(1, 1, 0.5) },
 		"bad score": func() { NewHistory(2, 0.5, 0.5).Record(0, 1, 2) },
+		"NaN score": func() { NewHistory(2, 0.5, 0.5).Record(0, 1, math.NaN()) },
+		"negative":  func() { NewHistory(2, 0.5, 0.5).Record(-1, 1, 0.5) },
+		"over 32 b": func() { NewHistory(2, 0.5, 0.5).Record(0, 1<<32, 0.5) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -264,27 +268,45 @@ func TestJaccardValidation(t *testing.T) {
 }
 
 func TestHistoryExportImportRoundTrip(t *testing.T) {
-	h := NewHistory(5, 0.5, 0.5)
-	h.Record(0, 1, 1.0)
-	h.Record(0, 1, 0.6)
-	h.Record(3, 4, 0.2)
-	recs := h.Export()
-	if len(recs) != 2 {
-		t.Fatalf("exported %d records, want 2", len(recs))
+	const n = 40
+	rng := rand.New(rand.NewSource(5))
+	h := NewHistory(n, 0.5, 0.5)
+	for r := 0; r < 500; r++ {
+		i, k := rng.Intn(n), rng.Intn(n-1)
+		if k >= i {
+			k++
+		}
+		h.Record(i, k, rng.Float64())
 	}
-	if recs[0].I != 0 || recs[0].K != 1 || recs[0].Count != 2 || math.Abs(recs[0].Sum-1.6) > 1e-12 {
-		t.Fatalf("record 0: %+v", recs[0])
+	recs := h.Export()
+	for j := 1; j < len(recs); j++ {
+		a, b := recs[j-1], recs[j]
+		if a.I > b.I || a.I == b.I && a.K >= b.K {
+			t.Fatalf("records %d and %d out of (I, K) order: %+v, %+v", j-1, j, a, b)
+		}
+	}
+	for _, r := range recs {
+		if r.I >= r.K {
+			t.Fatalf("record %+v not stored as (lo, hi)", r)
+		}
 	}
 	fresh := NewHistory(0, 0.5, 0.5)
 	if err := fresh.Import(recs); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.NumWorkers() != 5 {
-		t.Errorf("import grew to %d workers, want 5", fresh.NumWorkers())
+	if got, want := fresh.NumWorkers(), recs[len(recs)-1].K+1; got < want || got > n {
+		t.Errorf("import grew to %d workers, want %d..%d", got, want, n)
 	}
-	for _, pair := range [][2]int{{0, 1}, {3, 4}, {1, 2}} {
-		if a, b := h.Quality(pair[0], pair[1]), fresh.Quality(pair[0], pair[1]); math.Abs(a-b) > 1e-12 {
-			t.Errorf("pair %v: %v vs %v", pair, a, b)
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			if a, b := h.Quality(i, k), fresh.Quality(i, k); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("pair (%d,%d): %v vs %v", i, k, a, b)
+			}
+			s1, c1 := h.PairStats(i, k)
+			s2, c2 := fresh.PairStats(i, k)
+			if math.Float64bits(s1) != math.Float64bits(s2) || c1 != c2 {
+				t.Fatalf("pair (%d,%d) stats: (%v,%d) vs (%v,%d)", i, k, s1, c1, s2, c2)
+			}
 		}
 	}
 }
@@ -296,10 +318,17 @@ func TestHistoryImportRejectsGarbage(t *testing.T) {
 		"negative":  {I: -1, K: 0, Count: 1, Sum: 0.5},
 		"sum>count": {I: 0, K: 1, Count: 1, Sum: 1.5},
 		"neg count": {I: 0, K: 1, Count: -1, Sum: 0},
+		"NaN sum":   {I: 0, K: 1, Count: 1, Sum: math.NaN()},
+		"I ≥ 2^32":  {I: 1 << 32, K: 1, Count: 1, Sum: 0.5},
+		"K ≥ 2^32":  {I: 0, K: 1<<32 + 1, Count: 1, Sum: 0.5},
 	}
 	for name, rec := range cases {
-		if err := h.Import([]PairRecord{rec}); err == nil {
+		// A bad record anywhere rejects the whole batch.
+		if err := h.Import([]PairRecord{{I: 0, K: 1, Count: 1, Sum: 0.5}, rec}); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+	if len(h.Export()) != 0 || h.NumWorkers() != 2 {
+		t.Errorf("rejected imports changed the history: %+v, %d workers", h.Export(), h.NumWorkers())
 	}
 }

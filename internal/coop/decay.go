@@ -24,7 +24,7 @@ type DecayHistory struct {
 	omega  float64
 	lambda float64
 	now    float64
-	recs   map[pairKey][]decayRec
+	recs   map[uint64][]decayRec
 }
 
 type decayRec struct {
@@ -43,7 +43,7 @@ func NewDecayHistory(n int, alpha, omega, lambda float64) *DecayHistory {
 	}
 	return &DecayHistory{
 		n: n, alpha: alpha, omega: omega, lambda: lambda,
-		recs: make(map[pairKey][]decayRec),
+		recs: make(map[uint64][]decayRec),
 	}
 }
 
@@ -66,14 +66,10 @@ func (h *DecayHistory) Now() float64 {
 	return h.now
 }
 
-// Record registers a rating for workers i and k at the current clock.
+// Record registers a rating for workers i and k at the current clock. It
+// panics on the same inputs as History.Record.
 func (h *DecayHistory) Record(i, k int, score float64) {
-	if i == k {
-		panic("coop: cannot record self cooperation")
-	}
-	if score < 0 || score > 1 {
-		panic(fmt.Sprintf("coop: rating %v outside [0,1]", score))
-	}
+	checkRecord(i, k, score)
 	key := keyOf(i, k)
 	h.mu.Lock()
 	h.recs[key] = append(h.recs[key], decayRec{score: score, time: h.now})

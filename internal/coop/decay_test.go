@@ -114,6 +114,7 @@ func TestDecayPanics(t *testing.T) {
 		"bad lambda": func() { NewDecayHistory(2, 0.5, 0.5, -1) },
 		"self":       func() { NewDecayHistory(2, 0.5, 0.5, 0).Record(0, 0, 0.5) },
 		"bad score":  func() { NewDecayHistory(2, 0.5, 0.5, 0).Record(0, 1, 7) },
+		"NaN score":  func() { NewDecayHistory(2, 0.5, 0.5, 0).Record(0, 1, math.NaN()) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -2,6 +2,7 @@ package coop
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -19,17 +20,40 @@ type History struct {
 	n     int
 	alpha float64
 	omega float64
-	sum   map[pairKey]float64
-	count map[pairKey]int
+	recs  map[uint64]pairRec
 }
 
-type pairKey struct{ lo, hi int }
+// pairRec is one unordered pair's accumulated ratings.
+type pairRec struct {
+	sum   float64
+	count int
+}
 
-func keyOf(i, k int) pairKey {
+// maxWorker bounds the worker indices a history records: keyOf packs both
+// indices of a pair into one uint64, so each must fit in 32 bits.
+const maxWorker = 1<<32 - 1
+
+// keyOf packs the unordered pair {i, k} as lo<<32 | hi, the same key
+// Cached uses. Indices must lie in [0, maxWorker].
+func keyOf(i, k int) uint64 {
 	if i > k {
 		i, k = k, i
 	}
-	return pairKey{lo: i, hi: k}
+	return uint64(uint32(i))<<32 | uint64(uint32(k))
+}
+
+// checkRecord panics unless (i, k) is a recordable pair and score a
+// finite rating in [0,1]; Record of both estimators calls it.
+func checkRecord(i, k int, score float64) {
+	if i == k {
+		panic("coop: cannot record self cooperation")
+	}
+	if uint64(i) > maxWorker || uint64(k) > maxWorker {
+		panic(fmt.Sprintf("coop: worker pair (%d,%d) outside [0,%d]", i, k, maxWorker))
+	}
+	if math.IsNaN(score) || score < 0 || score > 1 {
+		panic(fmt.Sprintf("coop: rating %v outside [0,1]", score))
+	}
 }
 
 // NewHistory returns an empty history over n workers with mixing parameter
@@ -46,24 +70,21 @@ func NewHistory(n int, alpha, omega float64) *History {
 		n:     n,
 		alpha: alpha,
 		omega: omega,
-		sum:   make(map[pairKey]float64),
-		count: make(map[pairKey]int),
+		recs:  make(map[uint64]pairRec),
 	}
 }
 
 // Record registers that workers i and k both contributed to a task rated
-// score ∈ [0,1].
+// score ∈ [0,1]. It panics on a self pair, a negative or over-32-bit
+// worker index, and a rating that is NaN or outside [0,1].
 func (h *History) Record(i, k int, score float64) {
-	if i == k {
-		panic("coop: cannot record self cooperation")
-	}
-	if score < 0 || score > 1 {
-		panic(fmt.Sprintf("coop: rating %v outside [0,1]", score))
-	}
+	checkRecord(i, k, score)
 	key := keyOf(i, k)
 	h.mu.Lock()
-	h.sum[key] += score
-	h.count[key]++
+	r := h.recs[key]
+	r.sum += score
+	r.count++
+	h.recs[key] = r
 	h.mu.Unlock()
 }
 
@@ -82,7 +103,7 @@ func (h *History) RecordGroup(workers []int, score float64) {
 func (h *History) SharedTasks(i, k int) int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.count[keyOf(i, k)]
+	return h.recs[keyOf(i, k)].count
 }
 
 // AddFrom merges every pair record of src into h: sums and counts add,
@@ -97,11 +118,11 @@ func (h *History) AddFrom(src *History) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	//casclint:ignore maporder each destination key is accumulated exactly once per source map, so float order across distinct keys cannot affect any key's value
-	for key, s := range src.sum {
-		h.sum[key] += s
-	}
-	for key, c := range src.count {
-		h.count[key] += c
+	for key, s := range src.recs {
+		r := h.recs[key]
+		r.sum += s.sum
+		r.count += s.count
+		h.recs[key] = r
 	}
 	if src.n > h.n {
 		h.n = src.n
@@ -116,8 +137,9 @@ func (h *History) AddFrom(src *History) {
 func (h *History) PairStats(i, k int) (sum float64, count int) {
 	key := keyOf(i, k)
 	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.sum[key], h.count[key]
+	r := h.recs[key]
+	h.mu.RUnlock()
+	return r.sum, r.count
 }
 
 // Quality implements Model with Equation 1.
@@ -127,12 +149,11 @@ func (h *History) Quality(i, k int) float64 {
 	}
 	key := keyOf(i, k)
 	h.mu.RLock()
-	c := h.count[key]
-	s := h.sum[key]
+	r := h.recs[key]
 	h.mu.RUnlock()
 	hist := h.omega // prior when no shared history
-	if c > 0 {
-		hist = s / float64(c)
+	if r.count > 0 {
+		hist = r.sum / float64(r.count)
 	}
 	return h.alpha*h.omega + (1-h.alpha)*hist
 }
@@ -168,9 +189,9 @@ type PairRecord struct {
 func (h *History) Export() []PairRecord {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	out := make([]PairRecord, 0, len(h.count))
-	for key, c := range h.count {
-		out = append(out, PairRecord{I: key.lo, K: key.hi, Sum: h.sum[key], Count: c})
+	out := make([]PairRecord, 0, len(h.recs))
+	for key, r := range h.recs {
+		out = append(out, PairRecord{I: int(key >> 32), K: int(uint32(key)), Sum: r.sum, Count: r.count})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].I != out[b].I {
@@ -182,13 +203,16 @@ func (h *History) Export() []PairRecord {
 }
 
 // Import merges exported records into the history (sums and counts add).
-// Records referencing workers beyond the current count grow it.
+// Records referencing workers beyond the current count grow it. It rejects
+// the whole batch, changing nothing, if any record names a self pair or a
+// worker outside [0, 1<<32), or has a negative count or a sum that is NaN
+// or outside [0, count].
 func (h *History) Import(recs []PairRecord) error {
 	for _, r := range recs {
-		if r.I == r.K || r.I < 0 || r.K < 0 {
+		if r.I == r.K || uint64(r.I) > maxWorker || uint64(r.K) > maxWorker {
 			return fmt.Errorf("coop: bad pair record (%d,%d)", r.I, r.K)
 		}
-		if r.Count < 0 || r.Sum < 0 || r.Sum > float64(r.Count) {
+		if r.Count < 0 || math.IsNaN(r.Sum) || r.Sum < 0 || r.Sum > float64(r.Count) {
 			return fmt.Errorf("coop: pair (%d,%d) has sum %v over %d ratings", r.I, r.K, r.Sum, r.Count)
 		}
 	}
@@ -196,8 +220,10 @@ func (h *History) Import(recs []PairRecord) error {
 	defer h.mu.Unlock()
 	for _, r := range recs {
 		key := keyOf(r.I, r.K)
-		h.sum[key] += r.Sum
-		h.count[key] += r.Count
+		rec := h.recs[key]
+		rec.sum += r.Sum
+		rec.count += r.Count
+		h.recs[key] = rec
 		if r.K+1 > h.n {
 			h.n = r.K + 1
 		}

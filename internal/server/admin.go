@@ -176,6 +176,11 @@ func Restore(s *Snapshot, cfg Config) (*Platform, error) {
 	p.totalScore = s.TotalScore
 	p.batches = s.Batches
 	p.dispatchedTasks = s.DoneTasks
+	for _, r := range s.History {
+		if r.I >= s.NextWorkerID || r.K >= s.NextWorkerID {
+			return nil, fmt.Errorf("server: snapshot history pair (%d,%d) out of worker ID range", r.I, r.K)
+		}
+	}
 	p.history.Grow(s.NextWorkerID)
 	if err := p.history.Import(s.History); err != nil {
 		return nil, err

@@ -155,10 +155,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	cases := map[string]*Snapshot{
-		"bad B":        {B: 1},
-		"worker range": {B: 2, NextWorkerID: 1, Workers: []SnapshotWorker{{ID: 5}}},
-		"task range":   {B: 2, NextTaskID: 1, Tasks: []SnapshotTask{{ID: 5, Capacity: 2}}},
-		"bad history":  {B: 2, History: []coop.PairRecord{{I: 0, K: 0, Count: 1}}},
+		"bad B":         {B: 1},
+		"worker range":  {B: 2, NextWorkerID: 1, Workers: []SnapshotWorker{{ID: 5}}},
+		"task range":    {B: 2, NextTaskID: 1, Tasks: []SnapshotTask{{ID: 5, Capacity: 2}}},
+		"bad history":   {B: 2, History: []coop.PairRecord{{I: 0, K: 0, Count: 1}}},
+		"history range": {B: 2, NextWorkerID: 2, History: []coop.PairRecord{{I: 0, K: 1, Count: 1, Sum: 1}, {I: 1, K: 5, Count: 1, Sum: 1}}},
+		"history NaN":   {B: 2, NextWorkerID: 2, History: []coop.PairRecord{{I: 0, K: 1, Count: 1, Sum: math.NaN()}}},
 	}
 	for name, s := range cases {
 		if _, err := Restore(s, Config{}); err == nil {

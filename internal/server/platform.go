@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -360,7 +361,7 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 // Every worker pair of the group receives the rating per Equation 1; the
 // workers rejoin the pool at the task's location.
 func (p *Platform) RateTask(taskID int, score float64) error {
-	if score < 0 || score > 1 {
+	if math.IsNaN(score) || score < 0 || score > 1 {
 		return fmt.Errorf("server: rating %v outside [0,1]", score)
 	}
 	p.mu.Lock()

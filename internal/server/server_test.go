@@ -86,6 +86,11 @@ func TestPlatformFullLifecycle(t *testing.T) {
 		t.Fatal("dispatched a task with only one available worker")
 	}
 
+	// A NaN rating would make every pair of the group NaN in Equation 1;
+	// it is rejected and leaves the task unrated.
+	if err := p.RateTask(taskID, math.NaN()); err == nil {
+		t.Fatal("NaN rating accepted")
+	}
 	// Rating feeds Equation 1 and releases the workers at the task site.
 	if err := p.RateTask(taskID, 1.0); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -288,7 +289,7 @@ func (c *Cluster) Quality(i, k int) (float64, error) {
 // the group's workers rejoin the pool at the task's location, re-homed by
 // the router — the rating-side half of the ghost/handoff protocol.
 func (c *Cluster) RateTask(taskID int, score float64) error {
-	if score < 0 || score > 1 {
+	if math.IsNaN(score) || score < 0 || score > 1 {
 		return fmt.Errorf("shard: rating %v outside [0,1]", score)
 	}
 	for _, sh := range c.shards {

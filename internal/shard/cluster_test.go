@@ -200,7 +200,11 @@ func TestRegionRoutingAndHandoff(t *testing.T) {
 		t.Errorf("GhostWorkers = 0, want > 0 (component spans both shards)")
 	}
 	// The task at y=0.52 belongs to shard 1; rating it re-homes all three
-	// workers there, handing off the shard-0 worker.
+	// workers there, handing off the shard-0 worker. A NaN rating is
+	// rejected first and leaves the task unrated.
+	if err := c.RateTask(taskID, math.NaN()); err == nil {
+		t.Fatal("NaN rating accepted")
+	}
 	if err := c.RateTask(taskID, 1.0); err != nil {
 		t.Fatal(err)
 	}
