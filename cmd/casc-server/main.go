@@ -14,6 +14,10 @@
 // shedding on the mutating endpoints. -snapshot is not supported in
 // sharded mode.
 //
+// Both tiers serve one HTTP front end (server.NewFront), so the shared
+// routes and -pprof behave the same at every -shards value; the route
+// table in docs/OPERATIONS.md §1 marks each route's tier.
+//
 // Usage:
 //
 //	casc-server -addr :8080 -b 3 -snapshot state.json
@@ -61,8 +65,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var handler http.Handler
+	var tier interface{ Handler() http.Handler }
 	var p *server.Platform
+	var shape string
 	if *shards > 0 {
 		if *snapshot != "" {
 			log.Fatal("-snapshot is not supported with -shards")
@@ -71,7 +76,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c, err := shard.NewCluster(shard.Config{
+		tier, err = shard.NewCluster(shard.Config{
 			K: *shards, B: *b, Alpha: *alpha, Omega: *omega,
 			Router: policy, AdmissionRate: *admitF, AdmissionBurst: *admitB,
 			EnablePprof: *pprofF, SolveBudget: *budget, Incremental: *incr,
@@ -79,7 +84,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		handler = c.Handler()
+		shape = fmt.Sprintf(", shards=%d, router=%s", *shards, *routerF)
 	} else {
 		if *incr {
 			log.Fatal("-incremental requires -shards (the unsharded platform solves single batches with no cross-round state)")
@@ -89,12 +94,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		handler = p.Handler()
+		tier = p
 	}
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           tier.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -102,12 +107,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	if *shards > 0 {
-		fmt.Printf("casc-server listening on %s (B=%d, α=%g, ω=%g, shards=%d, router=%s)\n",
-			*addr, *b, *alpha, *omega, *shards, *routerF)
-	} else {
-		fmt.Printf("casc-server listening on %s (B=%d, α=%g, ω=%g)\n", *addr, *b, *alpha, *omega)
-	}
+	fmt.Printf("casc-server listening on %s (B=%d, α=%g, ω=%g%s)\n", *addr, *b, *alpha, *omega, shape)
 
 	select {
 	case err := <-errCh:

@@ -31,6 +31,7 @@ import (
 	"casc/internal/resilience"
 	"casc/internal/roadnet"
 	"casc/internal/scenario"
+	"casc/internal/server"
 	"casc/internal/shard"
 	"casc/internal/trace"
 	"casc/internal/viz"
@@ -431,7 +432,7 @@ func simulateShards(ctx context.Context, solverName string, m, n int, seed int64
 			}
 		}
 		res, err := c.RunBatch(ctx, solverName)
-		if errors.Is(err, shard.ErrBudgetExhausted) {
+		if errors.Is(err, server.ErrBudgetExhausted) {
 			exhausted++
 			continue
 		}

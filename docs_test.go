@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,6 +14,9 @@ import (
 	"testing"
 
 	"casc/internal/analysis"
+	"casc/internal/metrics"
+	"casc/internal/server"
+	"casc/internal/shard"
 )
 
 // metricLit matches a casc_* metric-name string literal as it appears in a
@@ -290,5 +294,95 @@ func TestLintRulesDocumented(t *testing.T) {
 	}
 	if strings.Join(got, ",") != wantList {
 		t.Errorf("README.md rule table lists %s, want %s", strings.Join(got, ","), wantList)
+	}
+}
+
+// docRouteRow matches a route catalogue row of docs/OPERATIONS.md: a
+// backticked route pattern and the tier that serves it.
+var docRouteRow = regexp.MustCompile("(?m)^\\| `((?:GET|POST|PUT|DELETE) /[^`]*)` \\| ([a-z]+) \\|")
+
+// servedRoutes builds one tier's handler on a fresh registry and returns
+// the route labels of the casc_http_request_seconds series it registers
+// at construction: one per wrapped route.
+func servedRoutes(t *testing.T, handler func(reg *metrics.Registry) (http.Handler, error)) map[string]bool {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	if _, err := handler(reg); err != nil {
+		t.Fatal(err)
+	}
+	routes := map[string]bool{}
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == server.MetricHTTPRequestSeconds {
+			routes[h.Labels["route"]] = true
+		}
+	}
+	if len(routes) == 0 {
+		t.Fatal("no route series registered; the scan is broken")
+	}
+	return routes
+}
+
+// TestRoutesDocumented is the route-catalogue twin of the metric and flag
+// gates: the route table of docs/OPERATIONS.md §1 must list every route
+// the platform or the sharded cluster serves, marked both, platform or
+// cluster, and no route that neither serves.
+func TestRoutesDocumented(t *testing.T) {
+	platform := servedRoutes(t, func(reg *metrics.Registry) (http.Handler, error) {
+		p, err := server.NewPlatform(server.Config{B: 2, Metrics: reg})
+		if err != nil {
+			return nil, err
+		}
+		return p.Handler(), nil
+	})
+	cluster := servedRoutes(t, func(reg *metrics.Registry) (http.Handler, error) {
+		c, err := shard.NewCluster(shard.Config{K: 2, B: 2, Metrics: reg, AdmissionRate: 1})
+		if err != nil {
+			return nil, err
+		}
+		return c.Handler(), nil
+	})
+	want := map[string]string{}
+	for r := range platform {
+		want[r] = "platform"
+	}
+	for r := range cluster {
+		if platform[r] {
+			want[r] = "both"
+		} else {
+			want[r] = "cluster"
+		}
+	}
+
+	doc, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := docRouteRow.FindAllStringSubmatch(string(doc), -1)
+	if len(rows) == 0 {
+		t.Fatal("no route catalogue rows found in docs/OPERATIONS.md; the scan is broken")
+	}
+	got := map[string]string{}
+	for _, m := range rows {
+		route, tier := m[1], m[2]
+		if _, dup := got[route]; dup {
+			t.Errorf("docs/OPERATIONS.md lists route %s twice", route)
+		}
+		got[route] = tier
+		switch {
+		case want[route] == "":
+			t.Errorf("docs/OPERATIONS.md lists route %s but no tier serves it", route)
+		case want[route] != tier:
+			t.Errorf("docs/OPERATIONS.md marks route %s as %s, want %s", route, tier, want[route])
+		}
+	}
+	routes := make([]string, 0, len(want))
+	for r := range want {
+		routes = append(routes, r)
+	}
+	sort.Strings(routes)
+	for _, r := range routes {
+		if _, ok := got[r]; !ok {
+			t.Errorf("route %s (%s) is missing from the docs/OPERATIONS.md route table", r, want[r])
+		}
 	}
 }

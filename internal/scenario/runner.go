@@ -11,6 +11,7 @@ import (
 	"casc/internal/metrics"
 	"casc/internal/model"
 	"casc/internal/resilience"
+	"casc/internal/server"
 	"casc/internal/shard"
 	"casc/internal/trace"
 )
@@ -212,7 +213,7 @@ func runSharded(ctx context.Context, cfg RunConfig, solverName string) (*Report,
 			taskOfCluster[cid] = t.ID
 		}
 		res, err := c.RunBatch(ctx, solverName)
-		if errors.Is(err, shard.ErrBudgetExhausted) {
+		if errors.Is(err, server.ErrBudgetExhausted) {
 			rep.Exhausted++
 			if cfg.Trace != nil {
 				if err := cfg.Trace.Append(trace.Record{

@@ -21,7 +21,8 @@ import (
 
 // UpdateWorker moves an available worker to a new location and optionally
 // changes its speed/radius (pass negative values to keep the current ones).
-// Busy workers (dispatched, not yet rated) cannot be updated.
+// Busy workers (dispatched, not yet rated) cannot be updated, and an
+// update that fails model.CheckWorkerInput leaves the worker unchanged.
 func (p *Platform) UpdateWorker(id int, loc geo.Point, speed, radius float64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -35,6 +36,9 @@ func (p *Platform) UpdateWorker(id int, loc geo.Point, speed, radius float64) er
 	}
 	if radius >= 0 {
 		w.Radius = radius
+	}
+	if err := model.CheckWorkerInput(w.Loc, w.Speed, w.Radius); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	w.Arrive = p.clock()
 	p.workers[id] = w
@@ -92,6 +96,14 @@ type SnapshotWorker struct {
 	Arrive float64 `json:"arrive"`
 }
 
+func snapshotWorker(w model.Worker) SnapshotWorker {
+	return SnapshotWorker{ID: w.ID, X: w.Loc.X, Y: w.Loc.Y, Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive}
+}
+
+func (w SnapshotWorker) worker() model.Worker {
+	return model.Worker{ID: w.ID, Loc: geo.Pt(w.X, w.Y), Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive}
+}
+
 // SnapshotTask is one open task.
 type SnapshotTask struct {
 	ID       int     `json:"id"`
@@ -100,6 +112,14 @@ type SnapshotTask struct {
 	Capacity int     `json:"capacity"`
 	Created  float64 `json:"created"`
 	Deadline float64 `json:"deadline"`
+}
+
+func snapshotTask(t model.Task) SnapshotTask {
+	return SnapshotTask{ID: t.ID, X: t.Loc.X, Y: t.Loc.Y, Capacity: t.Capacity, Created: t.Created, Deadline: t.Deadline}
+}
+
+func (t SnapshotTask) task() model.Task {
+	return model.Task{ID: t.ID, Loc: geo.Pt(t.X, t.Y), Capacity: t.Capacity, Created: t.Created, Deadline: t.Deadline}
 }
 
 // SnapshotGroup is one dispatched, unrated task group.
@@ -124,16 +144,12 @@ func (p *Platform) Snapshot() *Snapshot {
 		Batches:      p.batches,
 		DoneTasks:    p.dispatchedTasks,
 	}
-	for id, w := range p.workers {
-		s.Workers = append(s.Workers, SnapshotWorker{
-			ID: id, X: w.Loc.X, Y: w.Loc.Y, Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive,
-		})
+	for _, w := range p.workers {
+		s.Workers = append(s.Workers, snapshotWorker(w))
 	}
 	sort.Slice(s.Workers, func(a, b int) bool { return s.Workers[a].ID < s.Workers[b].ID })
-	for id, t := range p.tasks {
-		s.Tasks = append(s.Tasks, SnapshotTask{
-			ID: id, X: t.Loc.X, Y: t.Loc.Y, Capacity: t.Capacity, Created: t.Created, Deadline: t.Deadline,
-		})
+	for _, t := range p.tasks {
+		s.Tasks = append(s.Tasks, snapshotTask(t))
 	}
 	sort.Slice(s.Tasks, func(a, b int) bool { return s.Tasks[a].ID < s.Tasks[b].ID })
 	for taskID, grp := range p.dispatched {
@@ -142,9 +158,7 @@ func (p *Platform) Snapshot() *Snapshot {
 		}
 		sg := SnapshotGroup{TaskID: taskID, X: grp.loc.X, Y: grp.loc.Y}
 		for _, w := range grp.workers {
-			sg.Workers = append(sg.Workers, SnapshotWorker{
-				ID: w.ID, X: w.Loc.X, Y: w.Loc.Y, Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive,
-			})
+			sg.Workers = append(sg.Workers, snapshotWorker(w))
 		}
 		sort.Slice(sg.Workers, func(a, b int) bool { return sg.Workers[a].ID < sg.Workers[b].ID })
 		s.Dispatched = append(s.Dispatched, sg)
@@ -157,8 +171,8 @@ func (p *Platform) Snapshot() *Snapshot {
 // the default batch-counter clock starting at the snapshot time unless
 // cfg.Clock is provided.
 func Restore(s *Snapshot, cfg Config) (*Platform, error) {
-	if s.B < 2 {
-		return nil, fmt.Errorf("server: snapshot B = %d", s.B)
+	if err := s.check(); err != nil {
+		return nil, err
 	}
 	cfg.B = s.B
 	p, err := NewPlatform(cfg)
@@ -176,44 +190,97 @@ func Restore(s *Snapshot, cfg Config) (*Platform, error) {
 	p.totalScore = s.TotalScore
 	p.batches = s.Batches
 	p.dispatchedTasks = s.DoneTasks
-	for _, r := range s.History {
-		if r.I >= s.NextWorkerID || r.K >= s.NextWorkerID {
-			return nil, fmt.Errorf("server: snapshot history pair (%d,%d) out of worker ID range", r.I, r.K)
-		}
-	}
 	p.history.Grow(s.NextWorkerID)
 	if err := p.history.Import(s.History); err != nil {
 		return nil, err
 	}
 	for _, w := range s.Workers {
-		if w.ID < 0 || w.ID >= s.NextWorkerID {
-			return nil, fmt.Errorf("server: snapshot worker %d out of ID range", w.ID)
-		}
-		p.workers[w.ID] = model.Worker{
-			ID: w.ID, Loc: geo.Pt(w.X, w.Y), Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive,
-		}
+		p.workers[w.ID] = w.worker()
 	}
 	for _, t := range s.Tasks {
-		if t.ID < 0 || t.ID >= s.NextTaskID {
-			return nil, fmt.Errorf("server: snapshot task %d out of ID range", t.ID)
-		}
-		p.tasks[t.ID] = model.Task{
-			ID: t.ID, Loc: geo.Pt(t.X, t.Y), Capacity: t.Capacity, Created: t.Created, Deadline: t.Deadline,
-		}
+		p.tasks[t.ID] = t.task()
 	}
 	for _, g := range s.Dispatched {
 		grp := dispatchedGroup{loc: geo.Pt(g.X, g.Y)}
 		for _, w := range g.Workers {
 			grp.ids = append(grp.ids, w.ID)
-			grp.workers = append(grp.workers, model.Worker{
-				ID: w.ID, Loc: geo.Pt(w.X, w.Y), Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive,
-			})
+			grp.workers = append(grp.workers, w.worker())
 		}
 		p.dispatched[g.TaskID] = grp
 		p.busyCount += len(grp.workers)
 	}
 	p.syncGauges()
 	return p, nil
+}
+
+// check rejects a snapshot the live API could never have produced: every
+// worker and task must pass the input checks of RegisterWorker and
+// PostTask, every open task's capacity must reach B, and each worker or
+// task ID must lie in its allocated range and appear once across Workers,
+// Tasks and Dispatched.
+func (s *Snapshot) check() error {
+	if s.B < 2 {
+		return fmt.Errorf("server: snapshot B = %d", s.B)
+	}
+	for _, r := range s.History {
+		if r.I >= s.NextWorkerID || r.K >= s.NextWorkerID {
+			return fmt.Errorf("server: snapshot history pair (%d,%d) out of worker ID range", r.I, r.K)
+		}
+	}
+	workers := make(map[int]bool)
+	checkWorker := func(w SnapshotWorker) error {
+		switch {
+		case w.ID < 0 || w.ID >= s.NextWorkerID:
+			return fmt.Errorf("server: snapshot worker %d out of ID range", w.ID)
+		case workers[w.ID]:
+			return fmt.Errorf("server: snapshot worker %d listed twice", w.ID)
+		}
+		workers[w.ID] = true
+		if err := model.CheckWorkerInput(geo.Pt(w.X, w.Y), w.Speed, w.Radius); err != nil {
+			return fmt.Errorf("server: snapshot worker %d: %w", w.ID, err)
+		}
+		return nil
+	}
+	tasks := make(map[int]bool)
+	checkTask := func(id int, loc geo.Point, deadline float64) error {
+		switch {
+		case id < 0 || id >= s.NextTaskID:
+			return fmt.Errorf("server: snapshot task %d out of ID range", id)
+		case tasks[id]:
+			return fmt.Errorf("server: snapshot task %d listed twice", id)
+		}
+		tasks[id] = true
+		if err := model.CheckTaskInput(loc, deadline); err != nil {
+			return fmt.Errorf("server: snapshot task %d: %w", id, err)
+		}
+		return nil
+	}
+	for _, w := range s.Workers {
+		if err := checkWorker(w); err != nil {
+			return err
+		}
+	}
+	for _, t := range s.Tasks {
+		if err := checkTask(t.ID, geo.Pt(t.X, t.Y), t.Deadline); err != nil {
+			return err
+		}
+		if t.Capacity < s.B {
+			return fmt.Errorf("server: snapshot task %d capacity %d below B=%d", t.ID, t.Capacity, s.B)
+		}
+	}
+	for _, g := range s.Dispatched {
+		// A dispatched group sits at its task's location; the deadline no
+		// longer matters once the task is dispatched.
+		if err := checkTask(g.TaskID, geo.Pt(g.X, g.Y), 0); err != nil {
+			return err
+		}
+		for _, w := range g.Workers {
+			if err := checkWorker(w); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // SaveSnapshot writes the snapshot as JSON.
@@ -260,10 +327,8 @@ func (p *Platform) ListWorkers() []SnapshotWorker {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	out := make([]SnapshotWorker, 0, len(p.workers))
-	for id, w := range p.workers {
-		out = append(out, SnapshotWorker{
-			ID: id, X: w.Loc.X, Y: w.Loc.Y, Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive,
-		})
+	for _, w := range p.workers {
+		out = append(out, snapshotWorker(w))
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
@@ -274,10 +339,8 @@ func (p *Platform) ListTasks() []SnapshotTask {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	out := make([]SnapshotTask, 0, len(p.tasks))
-	for id, t := range p.tasks {
-		out = append(out, SnapshotTask{
-			ID: id, X: t.Loc.X, Y: t.Loc.Y, Capacity: t.Capacity, Created: t.Created, Deadline: t.Deadline,
-		})
+	for _, t := range p.tasks {
+		out = append(out, snapshotTask(t))
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
@@ -291,21 +354,18 @@ func (p *Platform) ListTasks() []SnapshotTask {
 //	DELETE /workers/{id}
 //	DELETE /tasks/{id}
 //	GET    /snapshot                  → full state JSON
-func (p *Platform) registerAdmin(mux *http.ServeMux) {
-	p.route(mux, "GET /workers", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"workers": p.ListWorkers()})
-	})
-	p.route(mux, "GET /tasks", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"tasks": p.ListTasks()})
-	})
-	p.route(mux, "PUT /workers/{id}", func(w http.ResponseWriter, r *http.Request) {
+func (p *Platform) registerAdmin(f *Front) {
+	f.RouteJSON("GET /workers", func() any { return map[string]any{"workers": p.ListWorkers()} })
+	f.RouteJSON("GET /tasks", func() any { return map[string]any{"tasks": p.ListTasks()} })
+	f.RouteJSON("GET /snapshot", func() any { return p.Snapshot() })
+	f.Route("PUT /workers/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := pathID(r)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
 		var req WorkerRequest
-		if !Decode(w, r, &req) {
+		if !decode(w, r, &req) {
 			return
 		}
 		if err := p.UpdateWorker(id, geo.Pt(req.X, req.Y), req.Speed, req.Radius); err != nil {
@@ -314,33 +374,24 @@ func (p *Platform) registerAdmin(mux *http.ServeMux) {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{})
 	})
-	p.route(mux, "DELETE /workers/{id}", func(w http.ResponseWriter, r *http.Request) {
+	f.Route("DELETE /workers/{id}", byID(p.UnregisterWorker))
+	f.Route("DELETE /tasks/{id}", byID(p.CancelTask))
+}
+
+// byID serves a DELETE route that applies op to the path's {id}.
+func byID(op func(id int) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		id, err := pathID(r)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := p.UnregisterWorker(id); err != nil {
+		if err := op(id); err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{})
-	})
-	p.route(mux, "DELETE /tasks/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, err := pathID(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := p.CancelTask(id); err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{})
-	})
-	p.route(mux, "GET /snapshot", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, p.Snapshot())
-	})
+	}
 }
 
 func pathID(r *http.Request) (int, error) {

@@ -29,6 +29,27 @@ func TestUpdateWorker(t *testing.T) {
 	if err := p.UpdateWorker(99, geo.Pt(0, 0), 0.1, 0.1); err == nil {
 		t.Error("unknown worker updated")
 	}
+	// Non-finite values fail the registration check and leave the worker
+	// as it was.
+	for _, tc := range []struct {
+		loc           geo.Point
+		speed, radius float64
+	}{
+		{geo.Pt(math.NaN(), 0.5), -1, -1},
+		{geo.Pt(0.5, math.Inf(1)), -1, -1},
+		{geo.Pt(0.5, 0.5), math.Inf(1), -1},
+		{geo.Pt(0.5, 0.5), -1, math.Inf(1)},
+	} {
+		if err := p.UpdateWorker(id, tc.loc, tc.speed, tc.radius); err == nil {
+			t.Errorf("UpdateWorker(%v, %v, %v) accepted", tc.loc, tc.speed, tc.radius)
+		}
+	}
+	p.mu.Lock()
+	after := p.workers[id]
+	p.mu.Unlock()
+	if after != w {
+		t.Errorf("rejected updates changed the worker: %+v, want %+v", after, w)
+	}
 }
 
 func TestUnregisterAndCancel(t *testing.T) {
@@ -161,6 +182,38 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		"bad history":   {B: 2, History: []coop.PairRecord{{I: 0, K: 0, Count: 1}}},
 		"history range": {B: 2, NextWorkerID: 2, History: []coop.PairRecord{{I: 0, K: 1, Count: 1, Sum: 1}, {I: 1, K: 5, Count: 1, Sum: 1}}},
 		"history NaN":   {B: 2, NextWorkerID: 2, History: []coop.PairRecord{{I: 0, K: 1, Count: 1, Sum: math.NaN()}}},
+		"group worker negative": {B: 2, NextWorkerID: 2, NextTaskID: 1,
+			Dispatched: []SnapshotGroup{{TaskID: 0, Workers: []SnapshotWorker{{ID: -1}, {ID: 0}}}}},
+		"group worker range": {B: 2, NextWorkerID: 2, NextTaskID: 1,
+			Dispatched: []SnapshotGroup{{TaskID: 0, Workers: []SnapshotWorker{{ID: 0}, {ID: 5}}}}},
+		"group task range": {B: 2, NextWorkerID: 2, NextTaskID: 1,
+			Dispatched: []SnapshotGroup{{TaskID: 3, Workers: []SnapshotWorker{{ID: 0}, {ID: 1}}}}},
+		"group task negative": {B: 2, NextWorkerID: 2, NextTaskID: 1,
+			Dispatched: []SnapshotGroup{{TaskID: -1, Workers: []SnapshotWorker{{ID: 0}, {ID: 1}}}}},
+		"worker available and busy": {B: 2, NextWorkerID: 2, NextTaskID: 1,
+			Workers:    []SnapshotWorker{{ID: 0}},
+			Dispatched: []SnapshotGroup{{TaskID: 0, Workers: []SnapshotWorker{{ID: 0}, {ID: 1}}}}},
+		"worker in two groups": {B: 2, NextWorkerID: 3, NextTaskID: 2,
+			Dispatched: []SnapshotGroup{
+				{TaskID: 0, Workers: []SnapshotWorker{{ID: 0}, {ID: 1}}},
+				{TaskID: 1, Workers: []SnapshotWorker{{ID: 1}, {ID: 2}}},
+			}},
+		"duplicate worker": {B: 2, NextWorkerID: 1, Workers: []SnapshotWorker{{ID: 0}, {ID: 0}}},
+		"duplicate task": {B: 2, NextTaskID: 1,
+			Tasks: []SnapshotTask{{ID: 0, Capacity: 2, Deadline: 5}, {ID: 0, Capacity: 2, Deadline: 5}}},
+		"task open and dispatched": {B: 2, NextWorkerID: 2, NextTaskID: 1,
+			Tasks:      []SnapshotTask{{ID: 0, Capacity: 2, Deadline: 5}},
+			Dispatched: []SnapshotGroup{{TaskID: 0, Workers: []SnapshotWorker{{ID: 0}, {ID: 1}}}}},
+		"capacity below B":       {B: 3, NextTaskID: 1, Tasks: []SnapshotTask{{ID: 0, Capacity: 2, Deadline: 5}}},
+		"worker NaN":             {B: 2, NextWorkerID: 1, Workers: []SnapshotWorker{{ID: 0, X: math.NaN()}}},
+		"worker Inf speed":       {B: 2, NextWorkerID: 1, Workers: []SnapshotWorker{{ID: 0, Speed: math.Inf(1)}}},
+		"worker negative radius": {B: 2, NextWorkerID: 1, Workers: []SnapshotWorker{{ID: 0, Radius: -1}}},
+		"group worker NaN": {B: 2, NextWorkerID: 2, NextTaskID: 1,
+			Dispatched: []SnapshotGroup{{TaskID: 0, Workers: []SnapshotWorker{{ID: 0}, {ID: 1, Y: math.NaN()}}}}},
+		"group location Inf": {B: 2, NextWorkerID: 2, NextTaskID: 1,
+			Dispatched: []SnapshotGroup{{TaskID: 0, X: math.Inf(-1), Workers: []SnapshotWorker{{ID: 0}, {ID: 1}}}}},
+		"task NaN":          {B: 2, NextTaskID: 1, Tasks: []SnapshotTask{{ID: 0, X: math.NaN(), Capacity: 2, Deadline: 5}}},
+		"task Inf deadline": {B: 2, NextTaskID: 1, Tasks: []SnapshotTask{{ID: 0, Capacity: 2, Deadline: math.Inf(1)}}},
 	}
 	for name, s := range cases {
 		if _, err := Restore(s, Config{}); err == nil {

@@ -11,6 +11,7 @@ import (
 
 	"casc/internal/geo"
 	"casc/internal/resilience"
+	"casc/internal/server"
 )
 
 // chaosSeeds mirrors the resilience suite's convention: a fixed seed set,
@@ -30,7 +31,7 @@ func chaosSeeds(t *testing.T) []int64 {
 
 // TestClusterChaosRounds drives a 4-shard cluster through batch rounds
 // with fault injection on every ladder rung. Rounds either complete with a
-// consistent dispatch or fail all-or-nothing with ErrBudgetExhausted;
+// consistent dispatch or fail all-or-nothing with server.ErrBudgetExhausted;
 // either way the registries stay balanced (every worker is available or
 // busy, never lost), which is the property chaos is most likely to break.
 func TestClusterChaosRounds(t *testing.T) {
@@ -59,7 +60,7 @@ func TestClusterChaosRounds(t *testing.T) {
 					}
 				}
 				res, err := c.RunBatch(context.Background(), "GT")
-				if errors.Is(err, ErrBudgetExhausted) {
+				if errors.Is(err, server.ErrBudgetExhausted) {
 					// Every rung of some shard's ladder was killed by the
 					// injected faults: an all-or-nothing no-op round.
 					continue
@@ -88,7 +89,7 @@ func TestClusterChaosRounds(t *testing.T) {
 }
 
 // TestClusterBudgetExhaustion forces a hopeless budget and checks the
-// round fails closed: ErrBudgetExhausted, nothing dispatched, registries
+// round fails closed: server.ErrBudgetExhausted, nothing dispatched, registries
 // untouched.
 func TestClusterBudgetExhaustion(t *testing.T) {
 	c := newTestCluster(t, 2, func(cfg *Config) {
@@ -109,8 +110,8 @@ func TestClusterBudgetExhaustion(t *testing.T) {
 	defer cancel()
 	time.Sleep(time.Millisecond)
 	_, err := c.RunBatch(ctx, "GT")
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("RunBatch with expired deadline: %v, want ErrBudgetExhausted", err)
+	if !errors.Is(err, server.ErrBudgetExhausted) {
+		t.Fatalf("RunBatch with expired deadline: %v, want server.ErrBudgetExhausted", err)
 	}
 	st := c.Status()
 	if st.BusyWorkers != 0 || st.AvailableWorkers != 30 || st.OpenTasks != 10 {

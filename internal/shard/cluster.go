@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -18,6 +17,7 @@ import (
 	"casc/internal/model"
 	"casc/internal/partition"
 	"casc/internal/resilience"
+	"casc/internal/server"
 )
 
 // Cluster-level metric names.
@@ -31,13 +31,16 @@ const (
 	MetricClusterScore        = "casc_cluster_total_score"
 )
 
-// ErrBudgetExhausted reports a RunBatch whose Config.SolveBudget ran out
+// budgetExhausted reports a RunBatch whose Config.SolveBudget ran out
 // before every shard delivered: either the request's deadline passed while
 // queued for the round lock, or some shard's ladder had no rung finish in
 // time. Nothing is dispatched — a partial round would break the N-vs-1
-// shard equivalence — and the HTTP layer maps the error to 503 with a
-// Retry-After header.
-var ErrBudgetExhausted = errors.New("shard: solve budget exhausted")
+// shard equivalence. The error matches server.ErrBudgetExhausted, which the
+// HTTP front end maps to 503 with a Retry-After header; the %.0w verb wraps
+// the sentinel without printing it, so the text keeps this package's prefix.
+func budgetExhausted(detail string) error {
+	return fmt.Errorf("shard: solve budget exhausted: %s%.0w", detail, server.ErrBudgetExhausted)
+}
 
 // Config configures a Cluster.
 type Config struct {
@@ -204,32 +207,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // Now returns the cluster's current platform time.
 func (c *Cluster) Now() float64 { return c.clock() }
 
-// clusterQuality estimates Equation 1 qualities from the pair statistics
-// accumulated across every shard's history: ratings recorded on different
-// shards for the same worker pair aggregate exactly as one global history
-// would (sums and counts add).
-type clusterQuality struct{ c *Cluster }
-
-func (q clusterQuality) Quality(i, k int) float64 {
-	if i == k {
-		return 0
-	}
-	var sum float64
-	var cnt int
-	for _, sh := range q.c.shards {
-		s, n := sh.history.PairStats(i, k)
-		sum += s
-		cnt += n
-	}
-	hist := q.c.omega
-	if cnt > 0 {
-		hist = sum / float64(cnt)
-	}
-	return q.c.alpha*q.c.omega + (1-q.c.alpha)*hist
-}
-
-func (q clusterQuality) NumWorkers() int { return int(q.c.nextWorkerID.Load()) }
-
 // route picks the home shard for a new entity at loc.
 func (c *Cluster) route(loc geo.Point) int {
 	loads := make([]int, len(c.shards))
@@ -275,13 +252,26 @@ func (c *Cluster) PostTask(loc geo.Point, capacity int, deadline float64) (int, 
 }
 
 // Quality returns the current cluster-wide Equation 1 estimate for two
-// workers.
+// workers from the pair statistics of every shard's history: ratings
+// recorded on different shards for the same pair aggregate exactly as one
+// global history would (sums and counts add).
 func (c *Cluster) Quality(i, k int) (float64, error) {
 	n := int(c.nextWorkerID.Load())
 	if i == k || i < 0 || k < 0 || i >= n || k >= n {
 		return 0, fmt.Errorf("shard: bad worker pair (%d,%d)", i, k)
 	}
-	return clusterQuality{c}.Quality(i, k), nil
+	var sum float64
+	var cnt int
+	for _, sh := range c.shards {
+		s, m := sh.history.PairStats(i, k)
+		sum += s
+		cnt += m
+	}
+	hist := c.omega
+	if cnt > 0 {
+		hist = sum / float64(cnt)
+	}
+	return c.alpha*c.omega + (1-c.alpha)*hist, nil
 }
 
 // RateTask records the requester's rating s in [0,1] for a dispatched task.
@@ -317,13 +307,10 @@ func (c *Cluster) RateTask(taskID int, score float64) error {
 	return fmt.Errorf("shard: task %d was not dispatched", taskID)
 }
 
-// BatchResult reports one cluster RunBatch round.
+// BatchResult reports one cluster RunBatch round: the platform's batch
+// result plus the round's sharding observability.
 type BatchResult struct {
-	Pairs           []model.Pair // worker ID -> task ID pairs actually dispatched
-	Score           float64
-	Upper           float64
-	DispatchedTasks int
-	ExpiredTasks    int
+	server.BatchResult
 	// Components is the number of validity-graph components this round;
 	// BorderComponents of them crossed a shard boundary and were pinned to
 	// the shard owning their lowest cell. GhostWorkers counts workers
@@ -358,7 +345,8 @@ type pinnedWork struct {
 //
 // With Config.SolveBudget set, each shard's solve runs under a resilience
 // ladder; if any shard exhausts its budget the whole round returns
-// ErrBudgetExhausted and dispatches nothing, keeping rounds all-or-nothing.
+// server.ErrBudgetExhausted and dispatches nothing, keeping rounds
+// all-or-nothing.
 func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult, error) {
 	if _, err := assign.ByName(solverName, 0); err != nil {
 		return nil, err
@@ -366,7 +354,7 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 	c.batchMu.Lock()
 	defer c.batchMu.Unlock()
 	if ctx.Err() != nil {
-		return nil, fmt.Errorf("%w: deadline passed while queued", ErrBudgetExhausted)
+		return nil, budgetExhausted("deadline passed while queued")
 	}
 	start := now()
 	seed := c.rounds.Load()
@@ -388,12 +376,16 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 	// Snapshot the per-shard histories into one flat history for the whole
 	// round: solves then pay a single map probe per quality miss instead of
 	// K locked probes. Merging in shard order accumulates each pair's total
-	// exactly as clusterQuality would, so scores stay bitwise K-invariant.
+	// exactly as Quality would, so scores stay bitwise K-invariant.
 	hist := coop.NewHistory(int(c.nextWorkerID.Load()), c.alpha, c.omega)
 	for _, sh := range c.shards {
 		hist.AddFrom(sh.history)
 	}
-	in.Quality = hist
+	ids := make([]int, len(in.Workers))
+	for i, w := range in.Workers {
+		ids[i] = w.ID
+	}
+	in.Quality = coop.NewSubset(hist, ids)
 	res.Components = len(comps)
 
 	// Phase C: pin each component to the shard owning its lowest cell.
@@ -447,8 +439,7 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 			return nil, fmt.Errorf("shard %d: %w", s, errs[s])
 		}
 		if exhausted[s] {
-			return nil, fmt.Errorf("%w: shard %d had no rung finish within %v",
-				ErrBudgetExhausted, s, c.solveBudget)
+			return nil, budgetExhausted(fmt.Sprintf("shard %d had no rung finish within %v", s, c.solveBudget))
 		}
 	}
 
