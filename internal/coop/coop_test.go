@@ -302,11 +302,17 @@ func TestHistoryExportImportRoundTrip(t *testing.T) {
 			if a, b := h.Quality(i, k), fresh.Quality(i, k); math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("pair (%d,%d): %v vs %v", i, k, a, b)
 			}
-			s1, c1 := h.PairStats(i, k)
-			s2, c2 := fresh.PairStats(i, k)
-			if math.Float64bits(s1) != math.Float64bits(s2) || c1 != c2 {
-				t.Fatalf("pair (%d,%d) stats: (%v,%d) vs (%v,%d)", i, k, s1, c1, s2, c2)
-			}
+		}
+	}
+	// The re-imported history holds the same records, sums to the bit.
+	again := fresh.Export()
+	if len(again) != len(recs) {
+		t.Fatalf("re-export has %d records, want %d", len(again), len(recs))
+	}
+	for j, r := range recs {
+		g := again[j]
+		if g.I != r.I || g.K != r.K || g.Count != r.Count || math.Float64bits(g.Sum) != math.Float64bits(r.Sum) {
+			t.Fatalf("record %d: re-exported %+v, want %+v", j, g, r)
 		}
 	}
 }

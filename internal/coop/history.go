@@ -106,42 +106,6 @@ func (h *History) SharedTasks(i, k int) int {
 	return h.recs[keyOf(i, k)].count
 }
 
-// AddFrom merges every pair record of src into h: sums and counts add,
-// and the worker count grows to cover src. Merging the per-shard
-// histories of a sharded platform (in shard order) therefore yields
-// exactly the Equation 1 estimates one global history would hold —
-// ratings are recorded in whichever shard owned the task, and each
-// pair's total is the order-fixed sum of its per-shard partial sums.
-func (h *History) AddFrom(src *History) {
-	src.mu.RLock()
-	defer src.mu.RUnlock()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	//casclint:ignore maporder each destination key is accumulated exactly once per source map, so float order across distinct keys cannot affect any key's value
-	for key, s := range src.recs {
-		r := h.recs[key]
-		r.sum += s.sum
-		r.count += s.count
-		h.recs[key] = r
-	}
-	if src.n > h.n {
-		h.n = src.n
-	}
-}
-
-// PairStats returns the accumulated rating sum and count for the pair
-// (i, k). Sums and counts from independent histories add, so callers
-// holding several histories (one per spatial shard) can aggregate pair
-// statistics into exactly the Equation 1 estimate one global history would
-// produce.
-func (h *History) PairStats(i, k int) (sum float64, count int) {
-	key := keyOf(i, k)
-	h.mu.RLock()
-	r := h.recs[key]
-	h.mu.RUnlock()
-	return r.sum, r.count
-}
-
 // Quality implements Model with Equation 1.
 func (h *History) Quality(i, k int) float64 {
 	if i == k {

@@ -72,13 +72,22 @@ func (p *Plan) Events(solver string) (trace.ReplayMeta, []trace.Event) {
 
 // FromEvents rebuilds a plan from a recorded event stream. The plan
 // carries the meta's seed, B and round count; SLO classes are
-// reconstructed from the per-task class names (deadline and wait targets
-// default to the observed deadline spread when the original spec is not
-// available, which preserves class membership — the property replay
-// verification needs — even though the numeric targets may differ).
+// reconstructed from the per-task class names. The stream does not carry
+// the original spec, so each class gets the default deadline and no wait
+// target: class membership — the property replay verification needs — is
+// preserved even though the numeric targets may differ.
+//
+// It rejects streams Events never writes: a round count outside
+// [1, MaxRounds], a negative universe, an event outside the meta's rounds
+// or without its payload, and worker or task IDs that are not a
+// permutation of 0..n-1 for the n events of their kind (recorded IDs are
+// dense), so nothing is sized by an ID the stream merely claims.
 func FromEvents(meta trace.ReplayMeta, events []trace.Event) (*Plan, error) {
-	if meta.Rounds <= 0 {
-		return nil, fmt.Errorf("scenario: event stream meta has rounds = %d", meta.Rounds)
+	if meta.Rounds <= 0 || meta.Rounds > MaxRounds {
+		return nil, fmt.Errorf("scenario: event stream meta has rounds = %d, want 1..%d", meta.Rounds, MaxRounds)
+	}
+	if meta.Universe < 0 {
+		return nil, fmt.Errorf("scenario: event stream meta has universe = %d", meta.Universe)
 	}
 	spec := Spec{
 		Name:   meta.Scenario,
@@ -93,25 +102,51 @@ func FromEvents(meta trace.ReplayMeta, events []trace.Event) (*Plan, error) {
 		workersByRound: make([][]model.Worker, meta.Rounds),
 		tasksByRound:   make([][]model.Task, meta.Rounds),
 	}
+	var numWorkers, numTasks int
+	for _, ev := range events {
+		switch ev.Kind {
+		case trace.EventWorker:
+			numWorkers++
+		case trace.EventTask:
+			numTasks++
+		}
+	}
+	seenWorker := make([]bool, numWorkers)
+	seenTask := make([]bool, numTasks)
+	// checkID rejects an ID outside [0, len(seen)) or seen before.
+	checkID := func(i int, kind string, id int, seen []bool) error {
+		if id < 0 || id >= len(seen) {
+			return fmt.Errorf("scenario: event %d has %s ID %d outside [0,%d)", i, kind, id, len(seen))
+		}
+		if seen[id] {
+			return fmt.Errorf("scenario: event %d repeats %s ID %d", i, kind, id)
+		}
+		seen[id] = true
+		return nil
+	}
 	classIndex := map[string]int{}
 	classByTask := map[int]string{}
-	maxWorkerID := -1
-	maxTaskID := -1
 	for i, ev := range events {
-		if ev.Round >= meta.Rounds {
-			return nil, fmt.Errorf("scenario: event %d at round %d beyond meta rounds %d", i, ev.Round, meta.Rounds)
+		if ev.Round < 0 || ev.Round >= meta.Rounds {
+			return nil, fmt.Errorf("scenario: event %d at round %d outside meta rounds %d", i, ev.Round, meta.Rounds)
 		}
 		switch ev.Kind {
 		case trace.EventWorker:
+			if ev.Worker == nil {
+				return nil, fmt.Errorf("scenario: worker event %d without payload", i)
+			}
+			if err := checkID(i, "worker", ev.Worker.ID, seenWorker); err != nil {
+				return nil, err
+			}
 			p.workersByRound[ev.Round] = append(p.workersByRound[ev.Round], *ev.Worker)
-			if ev.Worker.ID > maxWorkerID {
-				maxWorkerID = ev.Worker.ID
-			}
 		case trace.EventTask:
-			p.tasksByRound[ev.Round] = append(p.tasksByRound[ev.Round], *ev.Task)
-			if ev.Task.ID > maxTaskID {
-				maxTaskID = ev.Task.ID
+			if ev.Task == nil {
+				return nil, fmt.Errorf("scenario: task event %d without payload", i)
 			}
+			if err := checkID(i, "task", ev.Task.ID, seenTask); err != nil {
+				return nil, err
+			}
+			p.tasksByRound[ev.Round] = append(p.tasksByRound[ev.Round], *ev.Task)
 			if ev.Class != "" {
 				if _, ok := classIndex[ev.Class]; !ok {
 					classIndex[ev.Class] = 0 // index assigned after the scan
@@ -123,8 +158,8 @@ func FromEvents(meta trace.ReplayMeta, events []trace.Event) (*Plan, error) {
 		}
 	}
 	p.Universe = meta.Universe
-	if p.Universe <= maxWorkerID {
-		p.Universe = maxWorkerID + 1
+	if p.Universe < numWorkers {
+		p.Universe = numWorkers
 	}
 	if p.Universe == 0 {
 		p.Universe = 1
@@ -142,8 +177,8 @@ func FromEvents(meta trace.ReplayMeta, events []trace.Event) (*Plan, error) {
 			Name: name, Share: 1, Deadline: p.Spec.Deadline, TargetWait: math.Inf(1),
 		})
 	}
-	if maxTaskID >= 0 {
-		p.taskClass = make([]int, maxTaskID+1)
+	if numTasks > 0 {
+		p.taskClass = make([]int, numTasks)
 		for i := range p.taskClass {
 			p.taskClass[i] = -1
 		}

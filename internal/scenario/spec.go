@@ -82,6 +82,11 @@ type SLOClass struct {
 	TargetWait float64 `json:"target_wait"`
 }
 
+// MaxRounds bounds a scenario's round count. A plan allocates its
+// per-round schedule up front, so Validate and FromEvents reject longer
+// specs and event streams instead of allocating without bound.
+const MaxRounds = 1 << 16
+
 // Spec is a complete scenario description, loadable from JSON.
 type Spec struct {
 	Name   string `json:"name"`
@@ -175,8 +180,8 @@ func validProcess(name string) bool {
 // Validate rejects specs the generator cannot honour. Call on the
 // defaulted spec (Load and Generate do this for you).
 func (s Spec) Validate() error {
-	if s.Rounds <= 0 {
-		return fmt.Errorf("scenario: rounds = %d", s.Rounds)
+	if s.Rounds <= 0 || s.Rounds > MaxRounds {
+		return fmt.Errorf("scenario: rounds = %d, want 1..%d", s.Rounds, MaxRounds)
 	}
 	if s.B < 2 {
 		return fmt.Errorf("scenario: B = %d, want ≥ 2", s.B)

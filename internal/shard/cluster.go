@@ -88,11 +88,12 @@ type Config struct {
 // Cluster is a K-shard CA-SC platform. All methods are safe for concurrent
 // use. Registrations, ratings and reads synchronize per shard; RunBatch
 // serializes rounds on its own lock but solves outside the shard locks, so
-// no read or registration ever waits on a solve.
+// no read or registration ever waits on a solve. The shards share one
+// cooperation history, so what the cluster learns from ratings does not
+// depend on K.
 type Cluster struct {
 	b           int
-	alpha       float64
-	omega       float64
+	history     *coop.History
 	solveBudget time.Duration
 	chaos       *resilience.ChaosConfig
 	geom        Geometry
@@ -155,8 +156,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		b:           cfg.B,
-		alpha:       cfg.Alpha,
-		omega:       cfg.Omega,
+		history:     coop.NewHistory(0, cfg.Alpha, cfg.Omega),
 		solveBudget: cfg.SolveBudget,
 		chaos:       cfg.Chaos,
 		geom:        geom,
@@ -186,7 +186,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	for i := 0; i < cfg.K; i++ {
-		c.shards = append(c.shards, newShard(i, cfg.Alpha, cfg.Omega, reg))
+		c.shards = append(c.shards, newShard(i, reg))
 	}
 	if cfg.Incremental {
 		c.inc = incremental.New(incremental.Config{B: cfg.B, OrderByID: true, Metrics: reg})
@@ -226,6 +226,10 @@ func (c *Cluster) RegisterWorker(loc geo.Point, speed, radius float64) (int, err
 		return 0, fmt.Errorf("shard: %w", err)
 	}
 	id := int(c.nextWorkerID.Add(1) - 1)
+	// Grow before routing: once the worker is in a shard registry a
+	// concurrent RunBatch may snapshot it, and its quality view must
+	// already cover the ID.
+	c.history.Grow(id + 1)
 	c.shards[c.route(loc)].addWorker(model.Worker{
 		ID: id, Loc: loc, Speed: speed, Radius: radius, Arrive: c.clock(),
 	})
@@ -251,33 +255,22 @@ func (c *Cluster) PostTask(loc geo.Point, capacity int, deadline float64) (int, 
 	return id, nil
 }
 
-// Quality returns the current cluster-wide Equation 1 estimate for two
-// workers from the pair statistics of every shard's history: ratings
-// recorded on different shards for the same pair aggregate exactly as one
-// global history would (sums and counts add).
+// Quality returns the current Equation 1 estimate for two workers from the
+// cluster's one cooperation history.
 func (c *Cluster) Quality(i, k int) (float64, error) {
 	n := int(c.nextWorkerID.Load())
 	if i == k || i < 0 || k < 0 || i >= n || k >= n {
 		return 0, fmt.Errorf("shard: bad worker pair (%d,%d)", i, k)
 	}
-	var sum float64
-	var cnt int
-	for _, sh := range c.shards {
-		s, m := sh.history.PairStats(i, k)
-		sum += s
-		cnt += m
-	}
-	hist := c.omega
-	if cnt > 0 {
-		hist = sum / float64(cnt)
-	}
-	return c.alpha*c.omega + (1-c.alpha)*hist, nil
+	return c.history.Quality(i, k), nil
 }
 
 // RateTask records the requester's rating s in [0,1] for a dispatched task.
-// The rating lands in the history of the shard that owns the task's region;
-// the group's workers rejoin the pool at the task's location, re-homed by
-// the router — the rating-side half of the ghost/handoff protocol.
+// The shard that owns the task's region releases the group; the rating goes
+// into the cluster's history, and only then do the group's workers rejoin
+// the pool at the task's location, re-homed by the router — the
+// rating-side half of the ghost/handoff protocol. Recording before the
+// workers return keeps every rated pair out of any round's snapshot.
 func (c *Cluster) RateTask(taskID int, score float64) error {
 	if math.IsNaN(score) || score < 0 || score > 1 {
 		return fmt.Errorf("shard: rating %v outside [0,1]", score)
@@ -287,7 +280,7 @@ func (c *Cluster) RateTask(taskID int, score float64) error {
 		if !ok {
 			continue
 		}
-		sh.history.RecordGroup(grp.ids, score)
+		c.history.RecordGroup(grp.ids, score)
 		for i, w := range grp.workers {
 			w.Loc = grp.loc
 			w.Arrive = c.clock()
@@ -373,19 +366,15 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 	} else {
 		in, comps, workerHome, taskHome = c.snapshotRound(nowT, res)
 	}
-	// Snapshot the per-shard histories into one flat history for the whole
-	// round: solves then pay a single map probe per quality miss instead of
-	// K locked probes. Merging in shard order accumulates each pair's total
-	// exactly as Quality would, so scores stay bitwise K-invariant.
-	hist := coop.NewHistory(int(c.nextWorkerID.Load()), c.alpha, c.omega)
-	for _, sh := range c.shards {
-		hist.AddFrom(sh.history)
-	}
+	// The solve reads the live history: a rating writes only pairs of a
+	// dispatched group, whose workers are in no shard registry from
+	// dispatch until RateTask has recorded it, so no pair of this round's
+	// instance changes while the round runs.
 	ids := make([]int, len(in.Workers))
 	for i, w := range in.Workers {
 		ids[i] = w.ID
 	}
-	in.Quality = coop.NewSubset(hist, ids)
+	in.Quality = coop.NewSubset(c.history, ids)
 	res.Components = len(comps)
 
 	// Phase C: pin each component to the shard owning its lowest cell.

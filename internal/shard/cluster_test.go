@@ -38,8 +38,9 @@ type roundTrace struct {
 
 // driveCluster runs the same seeded multi-round workload against a
 // K-shard cluster and returns the per-round traces plus a sample of final
-// quality estimates. Ratings use only 0.5 and 1.0 — exactly representable,
-// so per-pair history sums are independent of which shard accumulated them.
+// quality estimates. Ratings are (task·37 mod 101)/101: inexact binary
+// fractions, so each pair's float sum is order-sensitive and any per-shard
+// split of the history would show in the bits.
 func driveCluster(t *testing.T, k int, seed int64, solver string) ([]roundTrace, []uint64) {
 	t.Helper()
 	c := newTestCluster(t, k)
@@ -51,7 +52,7 @@ func driveCluster(t *testing.T, k int, seed int64, solver string) ([]roundTrace,
 		}
 	}
 	var traces []roundTrace
-	for round := 0; round < 3; round++ {
+	for round := 0; round < 20; round++ {
 		for j := 0; j < 15; j++ {
 			_, err := c.PostTask(geo.Pt(rng.Float64(), rng.Float64()), 3+rng.Intn(3), c.clock()+2.5)
 			if err != nil {
@@ -77,10 +78,7 @@ func driveCluster(t *testing.T, k int, seed int64, solver string) ([]roundTrace,
 				continue
 			}
 			rated[p.Task] = true
-			score := 0.5
-			if p.Task%2 == 1 {
-				score = 1.0
-			}
+			score := float64(p.Task*37%101) / 101
 			if err := c.RateTask(p.Task, score); err != nil {
 				t.Fatalf("K=%d rate task %d: %v", k, p.Task, err)
 			}
@@ -252,9 +250,13 @@ func TestClusterExpiry(t *testing.T) {
 	}
 }
 
-// TestClusterConcurrentHammer drives registrations, posts, reads and batch
-// rounds from many goroutines at once; run under -race it is the shard
-// tier's synchronization audit.
+// TestClusterConcurrentHammer drives registrations, posts, reads, batch
+// rounds and ratings from many goroutines at once; run under -race it is
+// the shard tier's synchronization audit. Ratings of arbitrary values
+// write the shared history while rounds read it, and registrations race
+// rounds that snapshot the new worker (a worker routed before the history
+// covers its ID would panic the round; TestRegisterWorkerGrowsHistoryBeforeRouting
+// pins that order deterministically).
 func TestClusterConcurrentHammer(t *testing.T) {
 	c := newTestCluster(t, 4)
 	const (
@@ -280,6 +282,8 @@ func TestClusterConcurrentHammer(t *testing.T) {
 		}(g)
 	}
 	done := make(chan struct{})
+	// Sized to every task the writers can post, so no send ever blocks.
+	dispatched := make(chan int, writers*perG)
 	var batchWG sync.WaitGroup
 	for b := 0; b < batchers; b++ {
 		batchWG.Add(1)
@@ -290,14 +294,37 @@ func TestClusterConcurrentHammer(t *testing.T) {
 				case <-done:
 					return
 				default:
-					if _, err := c.RunBatch(context.Background(), "GT"); err != nil {
+					res, err := c.RunBatch(context.Background(), "GT")
+					if err != nil {
 						t.Error(err)
 						return
+					}
+					for i, p := range res.Pairs {
+						if i > 0 && res.Pairs[i-1].Task == p.Task {
+							continue
+						}
+						dispatched <- p.Task
 					}
 				}
 			}
 		}()
 	}
+	batchWG.Add(1)
+	go func() {
+		defer batchWG.Done()
+		rng := rand.New(rand.NewSource(99))
+		for {
+			select {
+			case <-done:
+				return
+			case task := <-dispatched:
+				if err := c.RateTask(task, rng.Float64()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
 	wg.Wait()
 	close(done)
 	batchWG.Wait()
@@ -379,6 +406,43 @@ func TestPostTaskRejectsNonFinite(t *testing.T) {
 		}
 		if _, err := c.RunBatch(context.Background(), "GT"); err != nil {
 			t.Fatalf("K=%d: batch after rejected posts: %v", k, err)
+		}
+	}
+}
+
+// probeRouter routes like the region policy and records, on every call,
+// whether the cluster's history already covered every handed-out worker ID.
+type probeRouter struct {
+	c       *Cluster
+	covered []bool
+}
+
+func (r *probeRouter) Name() string { return "probe" }
+
+func (r *probeRouter) Route(info RouteInfo) int {
+	r.covered = append(r.covered, r.c.history.NumWorkers() >= int(r.c.nextWorkerID.Load()))
+	return info.Owner
+}
+
+// TestRegisterWorkerGrowsHistoryBeforeRouting pins the order the hammer
+// test can only catch by luck: the history covers a new worker's ID before
+// the worker reaches a shard registry, where a concurrent round could
+// snapshot it and build its quality view.
+func TestRegisterWorkerGrowsHistoryBeforeRouting(t *testing.T) {
+	r := &probeRouter{}
+	c := newTestCluster(t, 2, func(cfg *Config) { cfg.Router = r })
+	r.c = c
+	for i := 0; i < 3; i++ {
+		if _, err := c.RegisterWorker(geo.Pt(0.2+0.3*float64(i), 0.5), 0.05, 0.1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(r.covered) != 3 {
+		t.Fatalf("router called %d times, want 3", len(r.covered))
+	}
+	for i, ok := range r.covered {
+		if !ok {
+			t.Errorf("worker %d routed before the history covered its ID", i)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package shard partitions the CA-SC platform into K spatial shards, each
-// owning its own worker/task registries, cooperation history and metric
-// namespace, fronted by a pluggable Router and token-bucket admission
-// control. Batch rounds stay globally coordinated: every round gathers one
+// owning its own worker/task registries and metric namespace over one
+// shared cooperation history, fronted by a pluggable Router and
+// token-bucket admission control. Batch rounds stay globally coordinated: every round gathers one
 // world-wide instance, decomposes it into the connected components of its
 // validity graph (package partition), pins each component to the shard that
 // owns its lowest cell — components crossing a boundary are "border"

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"sync"
 
-	"casc/internal/coop"
 	"casc/internal/geo"
 	"casc/internal/metrics"
 	"casc/internal/model"
@@ -29,11 +28,11 @@ const (
 	MetricShardHandoffs         = "casc_shard_handoffs_total"
 )
 
-// Shard is one spatial shard: a self-contained registry of available
-// workers, open tasks, dispatched groups awaiting ratings, and the
-// cooperation history accumulated from ratings recorded here. All methods
-// are safe for concurrent use; batch rounds snapshot under the lock and
-// solve outside it, so reads and registrations never wait on a solve.
+// Shard is one spatial shard: a registry of available workers, open tasks
+// and the dispatched groups awaiting ratings whose tasks lie in its region.
+// The cooperation history is the cluster's, shared by every shard. All
+// methods are safe for concurrent use; batch rounds snapshot under the lock
+// and solve outside it, so reads and registrations never wait on a solve.
 type Shard struct {
 	id int
 
@@ -52,11 +51,6 @@ type Shard struct {
 	trackPending bool
 	pendingW     []model.Worker
 	pendingT     []model.Task
-
-	// history accumulates the ratings of tasks dispatched from this shard
-	// (Equation 1 numerators); the cluster aggregates pair statistics
-	// across all shards when estimating qualities.
-	history *coop.History
 
 	sm shardMetrics
 }
@@ -90,7 +84,7 @@ type shardMetrics struct {
 
 // newShard returns an empty shard with metric series labelled shard="<id>"
 // on reg.
-func newShard(id int, alpha, omega float64, reg *metrics.Registry) *Shard {
+func newShard(id int, reg *metrics.Registry) *Shard {
 	lbl := metrics.L("shard", strconv.Itoa(id))
 	return &Shard{
 		id:         id,
@@ -98,7 +92,6 @@ func newShard(id int, alpha, omega float64, reg *metrics.Registry) *Shard {
 		tasks:      make(map[int]model.Task),
 		dispatched: make(map[int]dispatchedGroup),
 		rated:      make(map[int]bool),
-		history:    coop.NewHistory(0, alpha, omega),
 		sm: shardMetrics{
 			availGauge: reg.Gauge(MetricShardWorkers, "Workers currently available, by shard.", lbl),
 			busyGauge:  reg.Gauge(MetricShardBusyWorkers, "Workers on dispatched, unrated tasks, by shard.", lbl),
@@ -106,7 +99,7 @@ func newShard(id int, alpha, omega float64, reg *metrics.Registry) *Shard {
 			scoreGauge: reg.Gauge(MetricShardScore, "Cumulative cooperation score dispatched, by shard.", lbl),
 			registered: reg.Counter(MetricShardRegistered, "Workers ever registered, by shard.", lbl),
 			posted:     reg.Counter(MetricShardPosted, "Tasks ever posted, by shard.", lbl),
-			ratings:    reg.Counter(MetricShardRatings, "Requester ratings recorded, by shard.", lbl),
+			ratings:    reg.Counter(MetricShardRatings, "Requester ratings of tasks dispatched from this shard, by shard.", lbl),
 			solves:     reg.Counter(MetricShardSolves, "Batch rounds this shard solved pinned work in.", lbl),
 			solveSec: reg.Histogram(MetricShardSolveSeconds, "Per-round solve latency of this shard's pinned region.",
 				metrics.LatencyBuckets(), lbl),
