@@ -20,9 +20,7 @@ func TestUpdateWorker(t *testing.T) {
 	if err := p.UpdateWorker(id, geo.Pt(0.8, 0.8), 0.1, -1); err != nil {
 		t.Fatal(err)
 	}
-	p.mu.Lock()
-	w := p.workers[id]
-	p.mu.Unlock()
+	w, _ := p.registry.Worker(id)
 	if w.Loc != geo.Pt(0.8, 0.8) || w.Speed != 0.1 || w.Radius != 0.2 {
 		t.Errorf("worker after update: %+v", w)
 	}
@@ -44,9 +42,7 @@ func TestUpdateWorker(t *testing.T) {
 			t.Errorf("UpdateWorker(%v, %v, %v) accepted", tc.loc, tc.speed, tc.radius)
 		}
 	}
-	p.mu.Lock()
-	after := p.workers[id]
-	p.mu.Unlock()
+	after, _ := p.registry.Worker(id)
 	if after != w {
 		t.Errorf("rejected updates changed the worker: %+v, want %+v", after, w)
 	}

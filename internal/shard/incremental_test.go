@@ -13,7 +13,7 @@ import (
 )
 
 // incRoundTrace is one round's full observable outcome, compared between
-// the snapshot and incremental round assemblies.
+// the snapshot and incremental round assemblies, shard registries included.
 type incRoundTrace struct {
 	Pairs      []model.Pair
 	ScoreBits  uint64
@@ -23,6 +23,7 @@ type incRoundTrace struct {
 	Components int
 	Border     int
 	Ghosts     int
+	Shards     []ShardStatus // after the round's commit
 }
 
 // driveIncremental runs a seeded workload with churn — registrations and
@@ -63,6 +64,7 @@ func driveIncremental(t *testing.T, seed int64, solver string, opts ...func(*Con
 			Components: res.Components,
 			Border:     res.BorderComponents,
 			Ghosts:     res.GhostWorkers,
+			Shards:     c.Status().PerShard,
 		}
 		tr.Pairs = append(tr.Pairs, res.Pairs...)
 		traces = append(traces, tr)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"casc/internal/geo"
@@ -70,9 +71,11 @@ func tierOps(ops ...[]byte) []byte {
 
 // FuzzServingTiers is the differential check between the serving tiers:
 // one op stream decoded from the fuzz bytes — register, post, batch with GT
-// or TPG, and ratings b/255 of dispatched tasks — goes through the Go API
-// of the unsharded platform, a K=1 cluster, a K=3 cluster and a K=3
-// incremental cluster. Every op must succeed or fail alike on all four;
+// or TPG, and ratings b/255 of dispatched, already rated and never
+// dispatched tasks — goes through the Go API of the unsharded platform, a
+// K=1 cluster, a K=3 cluster and a K=3 incremental cluster. Every op must
+// succeed alike, or fail alike with the same message past the package
+// prefix, on all four;
 // every round must dispatch the same pairs with bitwise-equal score, upper
 // and expired count; and at the end every worker pair's quality estimate
 // must agree to the bit. Arbitrary ratings make each pair's history sum
@@ -89,6 +92,10 @@ func FuzzServingTiers(f *testing.F) {
 	rate := func(pick, score byte) []byte { return []byte{3, pick, score} }
 	f.Add(tierOps(reg(120, 120), reg(130, 125), reg(125, 135), reg(140, 128),
 		post(128, 128, 0), batch(0), rate(0, 77), batch(1)))
+	// After the one rating, pick 1 rates a task never dispatched and pick
+	// 0 rates the rated task again.
+	f.Add(tierOps(reg(120, 120), reg(130, 125), reg(125, 135),
+		post(128, 128, 0), batch(0), rate(0, 77), rate(1, 10), rate(0, 10), batch(1)))
 	f.Add(tierOps(reg(120, 120), reg(130, 125), reg(125, 135), reg(140, 128), reg(118, 140),
 		reg(60, 60), reg(70, 64), reg(64, 70), reg(190, 60), reg(200, 66), reg(194, 70),
 		post(128, 128, 1), post(65, 65, 2), post(196, 64, 5), batch(0),
@@ -124,8 +131,18 @@ func FuzzServingTiers(f *testing.F) {
 		var (
 			now     float64 // rounds completed; every tier's default clock
 			workers int
+			posted  int
 			open    []int // dispatched tasks not yet rated
+			rated   []int
 		)
+		// errText is err's message past its package prefix.
+		errText := func(err error) string {
+			if err == nil {
+				return ""
+			}
+			_, msg, _ := strings.Cut(err.Error(), ": ")
+			return msg
+		}
 		// same runs op on every tier and requires the tiers to agree on
 		// its error and integer result.
 		same := func(what string, op func(tier) (int, error)) {
@@ -138,7 +155,7 @@ func FuzzServingTiers(f *testing.F) {
 					first, firstErr = v, err
 					continue
 				}
-				if (err == nil) != (firstErr == nil) || v != first {
+				if (err == nil) != (firstErr == nil) || errText(err) != errText(firstErr) || v != first {
 					t.Fatalf("%s: %s returned (%d, %v), %s (%d, %v)",
 						what, tiers[0].name, first, firstErr, tr.name, v, err)
 				}
@@ -159,6 +176,7 @@ func FuzzServingTiers(f *testing.F) {
 				v := next()
 				capacity, deadline := b+int(v%3), now+1+float64(v/3%4)
 				same("post", func(tr tier) (int, error) { return tr.post(loc, capacity, deadline) })
+				posted++
 			case 2:
 				solver := "GT"
 				if next()%2 == 1 {
@@ -188,13 +206,19 @@ func FuzzServingTiers(f *testing.F) {
 				}
 				now++
 			case 3:
-				pick, score := int(next()), unit(next())
-				if len(open) == 0 {
-					continue
+				// pick chooses an unrated dispatched task, then a rated
+				// one, then the next task ID, which was never dispatched.
+				pick, score := int(next())%(len(open)+len(rated)+1), unit(next())
+				task := posted
+				switch {
+				case pick < len(open):
+					task = open[pick]
+					open = append(open[:pick], open[pick+1:]...)
+					rated = append(rated, task)
+				case pick < len(open)+len(rated):
+					task = rated[pick-len(open)]
 				}
-				task := open[pick%len(open)]
 				same("rate", func(tr tier) (int, error) { return 0, tr.rate(task, score) })
-				open = append(open[:pick%len(open)], open[pick%len(open)+1:]...)
 			}
 		}
 		for i := 0; i < workers; i++ {
