@@ -17,8 +17,9 @@ import (
 //   - make(...) — grow an arena buffer outside the loop instead;
 //   - append(nil, ...) / append(T(nil), ...) — the copy-into-fresh-slice
 //     idiom (the old sameSet sort copies);
-//   - map or chan composite literals — index marks with an epoch stamp
-//     replace per-iteration membership maps (see Arena.nextEpoch).
+//   - map or chan composite literals — index marks in arena scratch
+//     replace per-iteration membership maps (TPG's bestBSubset marks its
+//     chosen workers in its candidate buffer).
 //
 // A justified //casclint:ignore hotalloc <reason> suppresses a finding
 // where an allocation is genuinely once-per-solve or off the steady-state

@@ -35,9 +35,7 @@ type Arena struct {
 	grows  uint64
 
 	// Worker-sized buffers.
-	avail      []bool
-	chosenMark []int // bestBSubset membership marks, epoch-stamped
-	markEpoch  int
+	avail []bool
 
 	// Task-sized buffers (TPG stage one / stage two).
 	served    []bool
@@ -58,8 +56,10 @@ type Arena struct {
 	setStore  []int
 	setStride int
 
-	// bestBSubset candidate scratch and the truncateByAffinity sorter.
+	// bestBSubset candidate scratch, its carried marginal gains (gains[i]
+	// belongs to cands[i]) and the truncateByAffinity sorter.
 	cands  []int
+	gains  []float64
 	scored scoredCands
 
 	// Stage-one seed-pair runners-up: task t's ranked list is
@@ -225,21 +225,6 @@ func (ar *Arena) seedsFor(n int) {
 func (ar *Arena) seedSlot(t int) []seedPair {
 	off := t * seedTop
 	return ar.seeds[off : off+seedTop : off+seedTop]
-}
-
-// nextEpoch readies the chosenMark buffer for nWorkers and opens a fresh
-// mark epoch: entries stamped with the returned value are "in the current
-// set", everything older is free. This replaces a per-call map without any
-// clearing loop.
-func (ar *Arena) nextEpoch(nWorkers int) int {
-	if cap(ar.chosenMark) < nWorkers {
-		ar.chosenMark = make([]int, nWorkers)
-		ar.markEpoch = 0
-		ar.grows++
-	}
-	ar.chosenMark = ar.chosenMark[:nWorkers]
-	ar.markEpoch++
-	return ar.markEpoch
 }
 
 // scoredFor resizes the affinity sorter to n entries.

@@ -3,6 +3,7 @@ package assign
 import (
 	"container/heap"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -609,6 +610,66 @@ func TestArenaGTEquivalence(t *testing.T) {
 	}
 }
 
+// TestArenaTPGLargeBEquivalence checks TPG and GT against the references
+// at B = 4..10, where stage one's greedy adds up to eight members past the
+// seed pair, so the carried marginal gains are checked over many steps.
+// Capacities are at least B. The quality models are Synthetic, tiedQuality
+// and an asymmetric table drawn half from paletteQ (ties, ±0, NaN,
+// negatives).
+func TestArenaTPGLargeBEquivalence(t *testing.T) {
+	ctx := context.Background()
+	tpg := NewTPG()
+	tpg.SetArena(NewArena())
+	gt := NewGT(GTOptions{})
+	gt.SetArena(NewArena())
+	r := rand.New(rand.NewSource(23))
+	for b := 4; b <= 10; b++ {
+		stepped := false // some task had candidates to spare at this B
+		for qm := 0; qm < 3; qm++ {
+			for trial := 0; trial < 2; trial++ {
+				in := randomInstance(r, 120+r.Intn(120), 2+r.Intn(12), b)
+				switch qm {
+				case 1:
+					in.Quality = tiedQuality(len(in.Workers))
+				case 2:
+					in.Quality = paletteTable(r, len(in.Workers))
+				}
+				for _, c := range in.TaskCand {
+					stepped = stepped || len(c) > b
+				}
+				label := fmt.Sprintf("B=%d model=%d trial=%d", b, qm, trial)
+				got, err := tpg.Solve(ctx, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitwiseEqual(t, in, got, refTPGSolve(ctx, NewTPG(), in), "TPG "+label)
+				gotGT, err := gt.Solve(ctx, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitwiseEqual(t, in, gotGT, refGTSolve(ctx, GTOptions{}, in), "GT "+label)
+			}
+		}
+		if !stepped {
+			t.Fatalf("B=%d: no task had more than B candidates", b)
+		}
+	}
+}
+
+// paletteTable is an asymmetric quality table over n workers whose entries
+// are drawn half from paletteQ and half uniformly from [0, 1).
+func paletteTable(r *rand.Rand, n int) *tableQuality {
+	tq := &tableQuality{n: n, q: make([]float64, n*n)}
+	for i := range tq.q {
+		if r.Intn(2) == 0 {
+			tq.q[i] = paletteQ[r.Intn(len(paletteQ))]
+		} else {
+			tq.q[i] = r.Float64()
+		}
+	}
+	return tq
+}
+
 // TestArenaWarmEquivalence reuses one arena AND one warm cache across
 // rounds over a slowly-mutating instance sequence, against cold reference
 // solves.
@@ -646,15 +707,18 @@ var fuzzGTVariants = []GTOptions{
 // TPG and GT (persistent arena per fuzz process) and requires bitwise
 // equality with the pre-arena reference implementations. tied swaps in
 // tiedQuality, whose frequent ties make the first-maximiser order decide
-// both the seed pair of TPG stage one and GT's best responses; variant
-// picks the GT variant from fuzzGTVariants.
+// both the seed pair of TPG stage one and GT's best responses; b picks
+// B in 2..10, so stage one's greedy takes up to eight steps; variant picks
+// the GT variant from fuzzGTVariants.
 func FuzzArenaEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(10), uint8(2), false, uint8(0))
-	f.Add(int64(2), uint8(90), uint8(25), uint8(3), true, uint8(1))
-	f.Add(int64(3), uint8(5), uint8(2), uint8(2), false, uint8(2))
-	f.Add(int64(4), uint8(120), uint8(3), uint8(3), true, uint8(3))
-	f.Add(int64(5), uint8(70), uint8(12), uint8(3), true, uint8(4))
-	f.Add(int64(6), uint8(60), uint8(8), uint8(2), false, uint8(1))
+	f.Add(int64(1), uint8(40), uint8(10), uint8(0), false, uint8(0))
+	f.Add(int64(2), uint8(90), uint8(25), uint8(1), true, uint8(1))
+	f.Add(int64(3), uint8(5), uint8(2), uint8(0), false, uint8(2))
+	f.Add(int64(4), uint8(120), uint8(3), uint8(1), true, uint8(3))
+	f.Add(int64(5), uint8(70), uint8(12), uint8(1), true, uint8(4))
+	f.Add(int64(6), uint8(60), uint8(8), uint8(0), false, uint8(1))
+	f.Add(int64(7), uint8(200), uint8(10), uint8(4), true, uint8(0))
+	f.Add(int64(8), uint8(250), uint8(6), uint8(8), false, uint8(2))
 	tpg := NewTPG()
 	tpg.SetArena(NewArena())
 	gt := NewGT(GTOptions{})
@@ -662,7 +726,7 @@ func FuzzArenaEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nw, nt, b uint8, tied bool, variant uint8) {
 		nW := 4 + int(nw)
 		nT := 1 + int(nt)%40
-		B := 2 + int(b)%2
+		B := 2 + int(b)%9
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstance(r, nW, nT, B)
 		if tied {

@@ -291,10 +291,10 @@ func sameSet(a, b []int) bool {
 // B-set slot. It returns (nil, 0) when fewer than B candidates are
 // available. The greedy: seed with the best available pair (exhaustive up
 // to SeedLimit candidates), then add the worker with the maximum marginal
-// pair-sum gain until B workers are chosen. Finding the true optimum is
-// NP-hard (max-weight k-induced subgraph, §V-C), so a heuristic here
-// matches both the paper's complexity budget (O(m̄) per task and iteration)
-// and its spirit.
+// pair-sum gain until B workers are chosen, carrying each candidate's gain
+// from step to step. Finding the true optimum is NP-hard (max-weight
+// k-induced subgraph, §V-C), so a heuristic here matches both the paper's
+// complexity budget (O(m̄) per task and iteration) and its spirit.
 //
 // Within one stage one a task's candidates only ever lose availability, so
 // a refresh takes its seed from the runners-up its last full scan ranked
@@ -333,33 +333,44 @@ func (s *TPG) bestBSubset(in *model.Instance, t int, avail []bool, ar *Arena, c 
 	}
 	chosen := ar.setSlot(t)
 	chosen = append(chosen, seed.x, seed.y)
-	// Epoch-stamped marks replace the per-call inChosen map: stamping w
-	// with this call's epoch marks membership without any clearing loop.
-	epoch := ar.nextEpoch(len(in.Workers))
-	mark := ar.chosenMark
-	mark[seed.x] = epoch
-	mark[seed.y] = epoch
 	pairSum := seed.sum
+	// A chosen worker's cands entry is overwritten with -1, so the scans
+	// below skip it; cands is this call's scratch copy.
+	for i, w := range cands {
+		if w == seed.x || w == seed.y {
+			cands[i] = -1
+		}
+	}
+	// gains[i] carries cands[i]'s marginal gain over the chosen set: each
+	// step adds only the members chosen since the last step (both seeds,
+	// then the newest), so a candidate's sum takes the same additions in
+	// the same order from 0 as a fresh sum over chosen would, at O(c) per
+	// step instead of O(c·|chosen|).
+	gains := ar.floatsFor(&ar.gains, len(cands))
+	clear(gains)
+	added := chosen
 	for len(chosen) < B {
-		bestW, bestGain := -1, -1.0
-		for _, w := range cands {
-			if mark[w] == epoch {
+		bestI, bestGain := -1, -1.0
+		for i, w := range cands {
+			if w < 0 {
 				continue
 			}
-			gain := 0.0
-			for _, m := range chosen {
+			gain := gains[i]
+			for _, m := range added {
 				gain += q.Quality(w, m) + q.Quality(m, w)
 			}
+			gains[i] = gain
 			if gain > bestGain {
-				bestW, bestGain = w, gain
+				bestI, bestGain = i, gain
 			}
 		}
-		if bestW < 0 {
-			return nil, 0 // cannot happen: len(cands) >= B
+		if bestI < 0 {
+			return nil, 0 // every gain left is NaN or at most -1
 		}
-		chosen = append(chosen, bestW)
-		mark[bestW] = epoch
+		chosen = append(chosen, cands[bestI])
+		cands[bestI] = -1
 		pairSum += bestGain
+		added = chosen[len(chosen)-1:]
 	}
 	denom := B
 	if c := in.Tasks[t].Capacity; c < denom {

@@ -230,3 +230,60 @@ func TestGTFlushesTPGInitCounters(t *testing.T) {
 		t.Errorf("%s = %d, arena grew %d times", MetricArenaGrows, n, gt.Arena.grows)
 	}
 }
+
+// TestBestBSubsetLookupCount pins the quality lookups of one best-B-subset
+// refresh with c available candidates and no surviving seed: c(c−1) for
+// the pair scan, then 2·[2(c−2) + Σ_{j=3}^{B−1}(c−j)] for the greedy,
+// which adds only the newest member's two lookups per candidate and step.
+// A greedy that re-sums every candidate over the whole chosen set costs
+// 2·Σ_{j=2}^{B−1} j(c−j) instead: 2 072 lookups at c = 30, B = 10, where
+// the carried greedy makes 448.
+func TestBestBSubsetLookupCount(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, c := range []int{10, 30} {
+		for b := 2; b <= 10; b++ {
+			q := &tableQuality{n: c, q: make([]float64, c*c), calls: map[[2]int]int{}}
+			for i := range q.q {
+				q.q[i] = r.Float64()
+			}
+			in := &model.Instance{
+				Quality:    q,
+				B:          b,
+				Workers:    make([]model.Worker, c),
+				Tasks:      []model.Task{{Capacity: b}},
+				TaskCand:   [][]int{make([]int, c)},
+				WorkerCand: make([][]int, c),
+			}
+			avail := make([]bool, c)
+			for w := 0; w < c; w++ {
+				in.TaskCand[0][w] = w
+				in.WorkerCand[w] = []int{0}
+				avail[w] = true
+			}
+			ar := NewArena()
+			ar.setsFor(1, b)
+			ar.seedsFor(1)
+			set, _ := NewTPG().bestBSubset(in, 0, avail, ar, &tpgCounters{})
+			if len(set) != b {
+				t.Fatalf("c=%d B=%d: chose %d workers, want %d", c, b, len(set), b)
+			}
+			greedy := 0
+			if b > 2 {
+				greedy = 2 * 2 * (c - 2)
+				for j := 3; j <= b-1; j++ {
+					greedy += 2 * (c - j)
+				}
+			}
+			if c == 30 && b == 10 && greedy != 448 {
+				t.Fatalf("formula gives %d greedy lookups at c=30, B=10, want 448", greedy)
+			}
+			calls := 0
+			for _, n := range q.calls {
+				calls += n
+			}
+			if want := c*(c-1) + greedy; calls != want {
+				t.Errorf("c=%d B=%d: %d quality lookups, want %d (scan %d + greedy %d)", c, b, calls, want, c*(c-1), greedy)
+			}
+		}
+	}
+}
