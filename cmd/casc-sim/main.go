@@ -46,7 +46,7 @@ func main() {
 		m        = flag.Int("m", 1000, "workers when generating (per round with -rounds)")
 		n        = flag.Int("n", 500, "tasks when generating (per round with -rounds)")
 		seed     = flag.Int64("seed", 1, "seed when generating")
-		index    = flag.String("index", "rtree", "spatial index: rtree|grid|linear")
+		index    = flag.String("index", "rtree", "spatial index for single-batch runs (-rounds ignores it): rtree|grid|linear")
 		rounds   = flag.Int("rounds", 1, "batch rounds; >1 runs the Algorithm 1 simulator over generated arrivals")
 		svg      = flag.String("svg", "", "write an SVG rendering of the (last) solver's assignment to this file")
 		road     = flag.Bool("road", false, "use a road-network travel model instead of Euclidean")
@@ -123,7 +123,7 @@ func main() {
 			ladderSummary(reg)
 			return
 		}
-		simulate(ctx, *solver, *compare, *m, *n, *seed, *rounds, kind, *traceF, reg, *budget, chaosCfg, *incr)
+		simulate(ctx, *solver, *compare, *m, *n, *seed, *rounds, *traceF, reg, *budget, chaosCfg, *incr)
 		ladderSummary(reg)
 		return
 	}
@@ -209,7 +209,7 @@ func main() {
 // simulate runs the Algorithm 1 simulator: fresh worker/task waves each
 // round, carry-over of unserved tasks, busy workers returning after
 // service.
-func simulate(ctx context.Context, solverName string, compare bool, m, n int, seed int64, rounds int, kind model.IndexKind, tracePath string, reg *metrics.Registry, budget time.Duration, chaosCfg *resilience.ChaosConfig, incremental bool) {
+func simulate(ctx context.Context, solverName string, compare bool, m, n int, seed int64, rounds int, tracePath string, reg *metrics.Registry, budget time.Duration, chaosCfg *resilience.ChaosConfig, incremental bool) {
 	names := []string{solverName}
 	if compare {
 		names = assign.AllNames()
@@ -248,7 +248,6 @@ func simulate(ctx context.Context, solverName string, compare bool, m, n int, se
 			Solver:      s,
 			Rounds:      rounds,
 			B:           p.B,
-			Index:       kind,
 			Trace:       tw,
 			TraceRun:    name,
 			Metrics:     reg,

@@ -100,8 +100,6 @@ type Config struct {
 	// ServiceDuration is how long a dispatched task takes once all its
 	// workers arrive (default 1.0).
 	ServiceDuration float64
-	// Index selects the spatial index (default R-tree).
-	Index model.IndexKind
 	// Patience, when positive, makes workers leave the platform after
 	// sitting unassigned for that many consecutive batches — real platforms
 	// lose idle workers. Zero means workers wait forever (the paper's
@@ -166,9 +164,9 @@ type BatchStats struct {
 	AssignedWorkers  int
 	DispatchedTasks  int
 	Score            float64
-	// Build is the round's graph-maintenance time: aging and expiry
-	// bookkeeping plus candidate building and partitioning (the persistent
-	// engine's BeginRound/Add/Plan on the incremental path). Elapsed is the
+	// Build is the round's graph-maintenance time: the stage's expiry,
+	// admission and candidate building (plus partitioning on the
+	// incremental path), from BeginRound through Plan. Elapsed is the
 	// solve proper; Build+Elapsed is the round's pipeline latency.
 	Build   time.Duration
 	Elapsed time.Duration
@@ -223,11 +221,6 @@ func (r *Result) DispatchRate() float64 {
 	return float64(r.DispatchedTasks) / float64(total)
 }
 
-// pendingTask is a task waiting for assignment.
-type pendingTask struct {
-	task model.Task
-}
-
 // busyWorker is a worker performing a task.
 type busyWorker struct {
 	worker  model.Worker
@@ -236,9 +229,10 @@ type busyWorker struct {
 }
 
 // sim is one prepared simulation: the normalized config, the decorated
-// solver stack, and the metric handles. Both round loops (the from-scratch
-// default and the incremental engine) run off the same sim so dispatch,
-// accounting, metrics, and tracing stay a single code path.
+// solver stack, and the metric handles. Both graph stages (the from-scratch
+// default and the incremental engine) run through the same round loop, so
+// admission, aging, dispatch, accounting, metrics, and tracing stay a
+// single code path.
 type sim struct {
 	cfg     Config
 	src     Source
@@ -303,20 +297,141 @@ func Run(ctx context.Context, cfg Config, src Source) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var st stage = &scratchStage{b: s.cfg.B}
 	if s.cfg.Incremental {
-		return s.runIncremental(ctx)
+		st = engineStage{incremental.New(incremental.Config{
+			B:       s.cfg.B,
+			Carry:   true,
+			Seed:    s.cfg.Seed,
+			Metrics: s.cfg.Metrics,
+		})}
 	}
-	return s.run(ctx)
+	return s.run(ctx, st)
 }
 
-// run is the from-scratch round loop: every round rebuilds the instance,
-// its candidate lists, and the solution from the live pool.
-func (s *sim) run(ctx context.Context) (*Result, error) {
+// stage is the graph stage of a round: it holds the live workers and
+// tasks, builds the round's instance with its candidate lists, solves it,
+// and removes what the round consumed. Its cadence is *incremental.Engine's:
+// BeginRound → AddWorker*/AddTask* → Plan → (Quality set) → Solve → Commit.
+// Both stages keep entities in admission order through removals, so a
+// worker's position is the same in either.
+type stage interface {
+	BeginRound(now float64) []int
+	AddWorker(w model.Worker)
+	AddTask(t model.Task)
+	Plan() *incremental.Round
+	Solve(ctx context.Context, solver assign.Solver) (*model.Assignment, error)
+	Commit(a *model.Assignment, removeWorkers, removeTasks []int)
+	NumWorkers() int
+	NumTasks() int
+	// quiescent reports whether, given zero churn since the previous
+	// round, no task expires at now and every time gate (worker arrival,
+	// task creation) had already passed at prevNow, the timestamp the
+	// previous zero-valid-pair verdict was computed at.
+	quiescent(now, prevNow float64) bool
+}
+
+// engineStage is the incremental stage: the persistent engine maintains
+// the candidate graph and component partition across rounds, re-solves
+// only the components touched since the previous round, and carries every
+// clean component's assignment forward verbatim. It never short-circuits a
+// round.
+type engineStage struct{ *incremental.Engine }
+
+func (engineStage) quiescent(_, _ float64) bool { return false }
+
+// scratchStage is the from-scratch stage: every round rebuilds the
+// instance, its R*-tree candidate lists, and the solution from the live
+// workers and tasks.
+type scratchStage struct {
+	b       int
+	now     float64
+	workers []model.Worker
+	tasks   []model.Task
+	expired []int
+	round   incremental.Round
+}
+
+func (s *scratchStage) NumWorkers() int { return len(s.workers) }
+func (s *scratchStage) NumTasks() int   { return len(s.tasks) }
+
+// BeginRound drops the tasks past their deadline and returns their IDs.
+func (s *scratchStage) BeginRound(now float64) []int {
+	s.now = now
+	s.expired = s.expired[:0]
+	kept := s.tasks[:0]
+	for _, t := range s.tasks {
+		if t.Deadline > now {
+			kept = append(kept, t)
+		} else {
+			s.expired = append(s.expired, t.ID)
+		}
+	}
+	s.tasks = kept
+	return s.expired
+}
+
+func (s *scratchStage) AddWorker(w model.Worker) { s.workers = append(s.workers, w) }
+func (s *scratchStage) AddTask(t model.Task)     { s.tasks = append(s.tasks, t) }
+
+// Plan builds the batch instance (Algorithm 1 lines 2-5) on the live
+// slices. Commit replaces them with new ones rather than compacting them,
+// so the instance's entities stay as planned while the round's trace and
+// observer read them after Commit.
+func (s *scratchStage) Plan() *incremental.Round {
+	in := &model.Instance{B: s.b, Now: s.now, Workers: s.workers, Tasks: s.tasks}
+	in.BuildCandidates(model.IndexRTree)
+	s.round = incremental.Round{In: in}
+	return &s.round
+}
+
+// Solve solves the whole instance (line 6).
+func (s *scratchStage) Solve(ctx context.Context, solver assign.Solver) (*model.Assignment, error) {
+	return solver.Solve(ctx, s.round.In)
+}
+
+// Commit removes the given ascending positions into new slices and drops
+// the round's instance, so the stage holds nothing between rounds but the
+// live entities.
+func (s *scratchStage) Commit(_ *model.Assignment, removeWorkers, removeTasks []int) {
+	s.workers = removeAt(s.workers, removeWorkers)
+	s.tasks = removeAt(s.tasks, removeTasks)
+	s.round = incremental.Round{}
+}
+
+func (s *scratchStage) quiescent(now, prevNow float64) bool {
+	for _, t := range s.tasks {
+		if t.Deadline <= now || t.Created > prevNow {
+			return false
+		}
+	}
+	for _, w := range s.workers {
+		if w.Arrive > prevNow {
+			return false
+		}
+	}
+	return true
+}
+
+// removeAt returns xs without the ascending positions pos.
+func removeAt[T any](xs []T, pos []int) []T {
+	var kept []T
+	for i, x := range xs {
+		if len(pos) > 0 && pos[0] == i {
+			pos = pos[1:]
+			continue
+		}
+		kept = append(kept, x)
+	}
+	return kept
+}
+
+// run is the batch round loop of Algorithm 1 over one graph stage. For
+// deterministic solvers the two stages are bitwise interchangeable.
+func (s *sim) run(ctx context.Context, st stage) (*Result, error) {
 	cfg := s.cfg
 	var (
-		pool    []model.Worker // available workers
-		idleFor []int          // consecutive unassigned batches per pool entry
-		pending []pendingTask  // available tasks
+		idleFor []int // consecutive unassigned batches, aligned with the stage's workers
 		busy    []busyWorker
 		res     = &Result{}
 		prevVP  = -1 // previous round's valid-pair count; -1 = unknown
@@ -329,10 +444,19 @@ func (s *sim) run(ctx context.Context) (*Result, error) {
 		now := float64(round) * cfg.Interval
 		expiredBefore, departedBefore := res.ExpiredTasks, res.DepartedWorkers
 
-		// Sources are consulted exactly once per round, short-circuit or not.
+		// Sources are consulted exactly once per round, outside the timed
+		// build window, short-circuit or not.
 		newWorkers := s.src.WorkersAt(round)
 		newTasks := s.src.TasksAt(round)
 
+		var (
+			bs         = BatchStats{Round: round, Time: now}
+			in         *model.Instance
+			a          *model.Assignment
+			upper      float64
+			dispatched []bool
+			doneTasks  []int
+		)
 		// No-op short-circuit: with zero churn (no frees, arrivals, or
 		// expiries) and a previous round that had zero valid pairs with
 		// every time gate already passed, this round provably reproduces
@@ -341,150 +465,77 @@ func (s *sim) run(ctx context.Context) (*Result, error) {
 		// The time-gate scan is needed because a worker Arrive or task
 		// Created in the future can validate pairs by time alone.
 		if prevVP == 0 && len(newWorkers) == 0 && len(newTasks) == 0 &&
-			quiescent(pool, pending, busy, now, now-cfg.Interval) {
-			bs := BatchStats{
-				Round:            round,
-				Time:             now,
-				AvailableWorkers: len(pool),
-				AvailableTasks:   len(pending),
-			}
-			var nextPool []model.Worker
-			var nextIdle []int
-			for i, w := range pool {
-				idle := idleFor[i] + 1
-				if cfg.Patience > 0 && idle >= cfg.Patience {
-					res.DepartedWorkers++
-					continue
-				}
-				nextPool = append(nextPool, w)
-				nextIdle = append(nextIdle, idle)
-			}
-			pool = nextPool
-			idleFor = nextIdle
-			res.Batches = append(res.Batches, bs)
-			s.emitRound(&bs, res, expiredBefore, departedBefore, len(pending), len(pool), len(busy))
+			st.quiescent(now, now-cfg.Interval) && !freesBy(busy, now) {
 			if s.em != nil {
 				s.em.noopRounds.Inc()
 			}
-			if err := s.traceRound(round, now, &bs, 0, 0, nil, nil); err != nil {
-				return res, err
+		} else {
+			// Expire tasks, then admit in one order: the workers whose
+			// tasks finished (Algorithm 1: "workers that have finished the
+			// previous assigned tasks") in busy order, the arrivals, and
+			// the new tasks.
+			buildStart := time.Now()
+			res.ExpiredTasks += len(st.BeginRound(now))
+			stillBusy := busy[:0]
+			for _, b := range busy {
+				if b.freeAt <= now {
+					w := b.worker
+					w.Loc = b.locWhen.Loc
+					w.Arrive = b.freeAt
+					st.AddWorker(w)
+					idleFor = append(idleFor, 0)
+				} else {
+					stillBusy = append(stillBusy, b)
+				}
 			}
-			if err := s.observe(ctx, round, now, nil, nil); err != nil {
-				return res, err
-			}
-			continue
-		}
-
-		// Release workers whose tasks finished (Algorithm 1: "workers that
-		// have finished the previous assigned tasks").
-		buildStart := time.Now()
-		stillBusy := busy[:0]
-		for _, b := range busy {
-			if b.freeAt <= now {
-				w := b.worker
-				w.Loc = b.locWhen.Loc
-				w.Arrive = b.freeAt
-				pool = append(pool, w)
+			busy = stillBusy
+			for _, w := range newWorkers {
+				st.AddWorker(w)
 				idleFor = append(idleFor, 0)
-			} else {
-				stillBusy = append(stillBusy, b)
 			}
-		}
-		busy = stillBusy
+			for _, t := range newTasks {
+				if t.Capacity < cfg.B {
+					return nil, fmt.Errorf("batch: task %d capacity %d below B=%d", t.ID, t.Capacity, cfg.B)
+				}
+				st.AddTask(t)
+			}
 
-		// Drop expired tasks, admit arrivals.
-		livePending := pending[:0]
-		for _, p := range pending {
-			if p.task.Deadline > now {
-				livePending = append(livePending, p)
-			} else {
-				res.ExpiredTasks++
+			// Plan the round and attach the quality model (a fixed function
+			// of worker external IDs, which is what licenses the engine's
+			// carry and warm reuse).
+			in = st.Plan().In
+			ids := make([]int, len(in.Workers))
+			for i, w := range in.Workers {
+				ids[i] = w.ID
 			}
-		}
-		pending = livePending
-		for _, w := range newWorkers {
-			pool = append(pool, w)
-			idleFor = append(idleFor, 0)
-		}
-		for _, t := range newTasks {
-			if t.Capacity < cfg.B {
-				return nil, fmt.Errorf("batch: task %d capacity %d below B=%d", t.ID, t.Capacity, cfg.B)
-			}
-			pending = append(pending, pendingTask{task: t})
-		}
+			in.Quality = coop.NewSubset(s.quality, ids)
+			bs.Build = time.Since(buildStart)
 
-		// Build the batch instance (Algorithm 1 lines 2-5).
-		ids := make([]int, len(pool))
-		in := &model.Instance{B: cfg.B, Now: now}
-		for i, w := range pool {
-			ids[i] = w.ID
-			in.Workers = append(in.Workers, w)
-		}
-		for _, p := range pending {
-			in.Tasks = append(in.Tasks, p.task)
-		}
-		in.Quality = coop.NewSubset(s.quality, ids)
-		in.BuildCandidates(cfg.Index)
-		build := time.Since(buildStart)
-
-		// Solve the batch (line 6).
-		start := time.Now()
-		a, err := s.solver.Solve(ctx, in)
-		elapsed := time.Since(start)
-		if err != nil {
-			return res, fmt.Errorf("batch: round %d: %w", round, err)
-		}
-		if err := a.Validate(in); err != nil {
-			return res, fmt.Errorf("batch: round %d solver produced invalid assignment: %w", round, err)
-		}
-
-		// Dispatch (lines 7-8): only groups reaching B perform the task.
-		bs := BatchStats{
-			Round:            round,
-			Time:             now,
-			AvailableWorkers: len(pool),
-			AvailableTasks:   len(pending),
-			ValidPairs:       in.NumValidPairs(),
-			Build:            build,
-			Elapsed:          elapsed,
-		}
-		dispatchedWorker, dispatchedTask := s.dispatch(in, a, now, &bs, &busy, res)
-		batchUpper := assign.Upper(in)
-		res.UpperTotal += batchUpper
-
-		// Rebuild the pool and pending lists; undispatched workers lose
-		// patience and may depart.
-		var nextPool []model.Worker
-		var nextIdle []int
-		for i, w := range pool {
-			if dispatchedWorker[i] {
-				continue
+			start := time.Now()
+			var err error
+			a, err = st.Solve(ctx, s.solver)
+			bs.Elapsed = time.Since(start)
+			if err != nil {
+				return res, fmt.Errorf("batch: round %d: %w", round, err)
 			}
-			idle := idleFor[i] + 1
-			if cfg.Patience > 0 && idle >= cfg.Patience {
-				res.DepartedWorkers++
-				continue
+			if err := a.Validate(in); err != nil {
+				return res, fmt.Errorf("batch: round %d solver produced invalid assignment: %w", round, err)
 			}
-			nextPool = append(nextPool, w)
-			nextIdle = append(nextIdle, idle)
+			bs.ValidPairs = in.NumValidPairs()
+			dispatched, doneTasks = s.dispatch(in, a, now, &bs, &busy, res)
+			upper = assign.Upper(in)
+			res.UpperTotal += upper
 		}
-		pool = nextPool
-		idleFor = nextIdle
-		var nextPending []pendingTask
-		for i, p := range pending {
-			if !dispatchedTask[i] {
-				nextPending = append(nextPending, p)
-			}
-		}
-		pending = nextPending
+		bs.AvailableWorkers, bs.AvailableTasks = st.NumWorkers(), st.NumTasks()
+		st.Commit(a, s.age(res, &idleFor, dispatched), doneTasks)
 
 		res.Batches = append(res.Batches, bs)
 		res.TotalScore += bs.Score
 		res.DispatchedTasks += bs.DispatchedTasks
 		prevVP = bs.ValidPairs
 
-		s.emitRound(&bs, res, expiredBefore, departedBefore, len(pending), len(pool), len(busy))
-		if err := s.traceRound(round, now, &bs, batchUpper, float64(elapsed.Microseconds())/1000, in, a); err != nil {
+		s.emitRound(&bs, res, expiredBefore, departedBefore, st.NumTasks(), st.NumWorkers(), len(busy))
+		if err := s.traceRound(round, now, &bs, upper, float64(bs.Elapsed.Microseconds())/1000, in, a); err != nil {
 			return res, err
 		}
 		if err := s.observe(ctx, round, now, in, a); err != nil {
@@ -492,6 +543,40 @@ func (s *sim) run(ctx context.Context) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// freesBy reports whether some busy worker is free again at now.
+func freesBy(busy []busyWorker, now float64) bool {
+	for _, b := range busy {
+		if b.freeAt <= now {
+			return true
+		}
+	}
+	return false
+}
+
+// age ends the round for the pool: dispatched workers (marked by position;
+// nil marks none) leave it, the rest sit one more batch unassigned and
+// depart once their patience runs out. It compacts idleFor to the
+// survivors and returns the ascending positions that leave.
+func (s *sim) age(res *Result, idleFor *[]int, dispatched []bool) []int {
+	var remove []int
+	next := (*idleFor)[:0]
+	for i, idle := range *idleFor {
+		if dispatched != nil && dispatched[i] {
+			remove = append(remove, i)
+			continue
+		}
+		idle++
+		if s.cfg.Patience > 0 && idle >= s.cfg.Patience {
+			res.DepartedWorkers++
+			remove = append(remove, i)
+			continue
+		}
+		next = append(next, idle)
+	}
+	*idleFor = next
+	return remove
 }
 
 // observe invokes the configured round observer, if any.
@@ -505,37 +590,14 @@ func (s *sim) observe(ctx context.Context, round int, now float64, in *model.Ins
 	return nil
 }
 
-// quiescent reports whether the round can be short-circuited given zero
-// churn: no busy worker frees, no pending task expires, and every time
-// gate (worker arrival, task creation) had already passed at prevNow, the
-// timestamp the previous zero-valid-pair verdict was computed at.
-func quiescent(pool []model.Worker, pending []pendingTask, busy []busyWorker, now, prevNow float64) bool {
-	for _, b := range busy {
-		if b.freeAt <= now {
-			return false
-		}
-	}
-	for _, p := range pending {
-		if p.task.Deadline <= now || p.task.Created > prevNow {
-			return false
-		}
-	}
-	for _, w := range pool {
-		if w.Arrive > prevNow {
-			return false
-		}
-	}
-	return true
-}
-
 // dispatch applies the dispatch semantics of Algorithm 1 lines 7-8 to a
 // solved round: every group reaching B performs its task, its workers go
 // busy until all have arrived and the service completed. It fills bs and
-// res and returns the dispatched worker/task position marks.
-func (s *sim) dispatch(in *model.Instance, a *model.Assignment, now float64, bs *BatchStats, busy *[]busyWorker, res *Result) (dispatchedWorker, dispatchedTask []bool) {
+// res and returns the dispatched worker marks and the ascending positions
+// of the dispatched tasks.
+func (s *sim) dispatch(in *model.Instance, a *model.Assignment, now float64, bs *BatchStats, busy *[]busyWorker, res *Result) (dispatchedWorker []bool, dispatchedTasks []int) {
 	cfg := s.cfg
 	dispatchedWorker = make([]bool, len(in.Workers))
-	dispatchedTask = make([]bool, len(in.Tasks))
 	for ti, ws := range a.TaskWorkers {
 		if len(ws) < cfg.B {
 			continue
@@ -554,13 +616,13 @@ func (s *sim) dispatch(in *model.Instance, a *model.Assignment, now float64, bs 
 			dispatchedWorker[wi] = true
 			*busy = append(*busy, busyWorker{worker: in.Workers[wi], freeAt: freeAt, locWhen: task})
 		}
-		dispatchedTask[ti] = true
+		dispatchedTasks = append(dispatchedTasks, ti)
 		bs.DispatchedTasks++
 		bs.AssignedWorkers += len(ws)
 		bs.Score += in.GroupQuality(ws, task.Capacity)
 		res.TaskWaitTotal += now - task.Created
 	}
-	return dispatchedWorker, dispatchedTask
+	return dispatchedWorker, dispatchedTasks
 }
 
 // emitRound flushes the per-round metric series.
@@ -614,141 +676,6 @@ func (s *sim) traceRound(round int, now float64, bs *BatchStats, upper, elapsedM
 		}
 	}
 	return s.cfg.Trace.Append(rec)
-}
-
-// runIncremental is the persistent-engine round loop: the incremental
-// engine maintains the candidate graph and component partition across
-// rounds, re-solves only the components touched since the previous round,
-// and carries every clean component's assignment forward verbatim. Entity
-// ordering, dispatch, and accounting replicate run exactly, so for
-// deterministic solvers the two paths are bitwise interchangeable.
-func (s *sim) runIncremental(ctx context.Context) (*Result, error) {
-	cfg := s.cfg
-	eng := incremental.New(incremental.Config{
-		B:       cfg.B,
-		Carry:   true,
-		Seed:    cfg.Seed,
-		Metrics: cfg.Metrics,
-	})
-	var (
-		idleFor []int // aligned with the engine's worker order
-		busy    []busyWorker
-		res     = &Result{}
-	)
-
-	for round := 0; round < cfg.Rounds; round++ {
-		if ctx.Err() != nil {
-			return res, ctx.Err()
-		}
-		now := float64(round) * cfg.Interval
-		expiredBefore, departedBefore := res.ExpiredTasks, res.DepartedWorkers
-
-		// Sources are consulted outside the timed build window, as in run.
-		newWorkers := s.src.WorkersAt(round)
-		newTasks := s.src.TasksAt(round)
-
-		// Expire tasks and re-check every candidate edge, then admit the
-		// freed workers and the arrivals in the same order run grows its
-		// pool: survivors (order preserved), frees in busy order, arrivals.
-		buildStart := time.Now()
-		res.ExpiredTasks += len(eng.BeginRound(now))
-		stillBusy := busy[:0]
-		for _, b := range busy {
-			if b.freeAt <= now {
-				w := b.worker
-				w.Loc = b.locWhen.Loc
-				w.Arrive = b.freeAt
-				eng.AddWorker(w)
-				idleFor = append(idleFor, 0)
-			} else {
-				stillBusy = append(stillBusy, b)
-			}
-		}
-		busy = stillBusy
-		for _, w := range newWorkers {
-			eng.AddWorker(w)
-			idleFor = append(idleFor, 0)
-		}
-		for _, t := range newTasks {
-			if t.Capacity < cfg.B {
-				return nil, fmt.Errorf("batch: task %d capacity %d below B=%d", t.ID, t.Capacity, cfg.B)
-			}
-			eng.AddTask(t)
-		}
-
-		// Plan the round and attach the quality model (a fixed function of
-		// worker external IDs, which is what licenses carry and warm reuse).
-		r := eng.Plan()
-		in := r.In
-		ids := make([]int, len(in.Workers))
-		for i, w := range in.Workers {
-			ids[i] = w.ID
-		}
-		in.Quality = coop.NewSubset(s.quality, ids)
-		build := time.Since(buildStart)
-
-		start := time.Now()
-		a, err := eng.Solve(ctx, s.solver)
-		elapsed := time.Since(start)
-		if err != nil {
-			return res, fmt.Errorf("batch: round %d: %w", round, err)
-		}
-		if err := a.Validate(in); err != nil {
-			return res, fmt.Errorf("batch: round %d solver produced invalid assignment: %w", round, err)
-		}
-
-		bs := BatchStats{
-			Round:            round,
-			Time:             now,
-			AvailableWorkers: len(in.Workers),
-			AvailableTasks:   len(in.Tasks),
-			ValidPairs:       in.NumValidPairs(),
-			Build:            build,
-			Elapsed:          elapsed,
-		}
-		dispatchedWorker, dispatchedTask := s.dispatch(in, a, now, &bs, &busy, res)
-		batchUpper := assign.Upper(in)
-		res.UpperTotal += batchUpper
-
-		// Dispatched workers leave the pool; the rest age and may depart.
-		// The removal order (ascending positions) matches the engine's
-		// order-preserving compaction, keeping idleFor aligned.
-		var removeW, removeT []int
-		var nextIdle []int
-		for i := range in.Workers {
-			if dispatchedWorker[i] {
-				removeW = append(removeW, i)
-				continue
-			}
-			idle := idleFor[i] + 1
-			if cfg.Patience > 0 && idle >= cfg.Patience {
-				res.DepartedWorkers++
-				removeW = append(removeW, i)
-				continue
-			}
-			nextIdle = append(nextIdle, idle)
-		}
-		idleFor = nextIdle
-		for i := range in.Tasks {
-			if dispatchedTask[i] {
-				removeT = append(removeT, i)
-			}
-		}
-		eng.Commit(a, removeW, removeT)
-
-		res.Batches = append(res.Batches, bs)
-		res.TotalScore += bs.Score
-		res.DispatchedTasks += bs.DispatchedTasks
-
-		s.emitRound(&bs, res, expiredBefore, departedBefore, eng.NumTasks(), eng.NumWorkers(), len(busy))
-		if err := s.traceRound(round, now, &bs, batchUpper, float64(elapsed.Microseconds())/1000, in, a); err != nil {
-			return res, err
-		}
-		if err := s.observe(ctx, round, now, in, a); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
 }
 
 func maxf(a, b float64) float64 {

@@ -106,7 +106,6 @@ type Cluster struct {
 	nextTaskID   atomic.Int64
 	rounds       atomic.Int64
 	clock        func() float64
-	advance      func()
 
 	batchMu sync.Mutex // serializes RunBatch rounds
 
@@ -194,7 +193,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	if c.clock == nil {
 		c.clock = func() float64 { return float64(c.rounds.Load()) }
-		c.advance = func() { c.rounds.Add(1) }
 	}
 	c.cm.shardsGauge.Set(float64(cfg.K))
 	return c, nil
@@ -241,12 +239,13 @@ func (c *Cluster) PostTask(loc geo.Point, capacity int, deadline float64) (int, 
 	if capacity < c.b {
 		return 0, fmt.Errorf("shard: capacity %d below B=%d", capacity, c.b)
 	}
-	if deadline <= c.clock() {
-		return 0, fmt.Errorf("shard: deadline %v not in the future (now %v)", deadline, c.clock())
+	now := c.clock()
+	if deadline <= now {
+		return 0, fmt.Errorf("shard: deadline %v not in the future (now %v)", deadline, now)
 	}
 	id := int(c.nextTaskID.Add(1) - 1)
 	c.shards[c.route(loc)].addTask(model.Task{
-		ID: id, Loc: loc, Capacity: capacity, Created: c.clock(), Deadline: deadline,
+		ID: id, Loc: loc, Capacity: capacity, Created: now, Deadline: deadline,
 	})
 	return id, nil
 }
@@ -488,11 +487,7 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 	c.cm.expired.Add(uint64(res.ExpiredTasks))
 	c.cm.scoreGauge.Set(c.Status().TotalScore)
 	c.cm.batchSec.Observe(now().Sub(start).Seconds())
-	if c.advance != nil {
-		c.advance()
-	} else {
-		c.rounds.Add(1)
-	}
+	c.rounds.Add(1)
 	return res, nil
 }
 

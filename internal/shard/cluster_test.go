@@ -314,6 +314,35 @@ func TestRegisteredCountsRegistrationsOnly(t *testing.T) {
 	}
 }
 
+// TestPostTaskReadsClockOnce stamps Created with the time the deadline was
+// checked against: a clock that moves between reads, as it does when a
+// round commits concurrently, must not produce a task created after its
+// own deadline.
+func TestPostTaskReadsClockOnce(t *testing.T) {
+	var ticks float64
+	c := newTestCluster(t, 2, func(cfg *Config) {
+		cfg.Clock = func() float64 {
+			now := ticks
+			ticks += 2
+			return now
+		}
+	})
+	id, err := c.PostTask(geo.Pt(0.3, 0.3), 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []model.Task
+	for _, sh := range c.shards {
+		got = append(got, sh.reg.Tasks()...)
+	}
+	if len(got) != 1 || got[0].ID != id {
+		t.Fatalf("registered tasks %+v, want task %d", got, id)
+	}
+	if got[0].Created != 0 || got[0].Created >= got[0].Deadline {
+		t.Fatalf("task created at %v with deadline %v, want created at 0, the checked time", got[0].Created, got[0].Deadline)
+	}
+}
+
 func TestClusterExpiry(t *testing.T) {
 	c := newTestCluster(t, 4)
 	if _, err := c.PostTask(geo.Pt(0.1, 0.1), 3, 0.5); err != nil {
