@@ -22,8 +22,23 @@ type peerWalk struct {
 }
 
 func newPeerWalk(in *model.Instance) *peerWalk {
+	p := &peerWalk{}
+	p.reset(in)
+	return p
+}
+
+// reset points the walk at in with no worker visited yet, reusing its
+// storage when it is large enough.
+func (p *peerWalk) reset(in *model.Instance) {
 	n := len(in.Workers)
-	return &peerWalk{in: in, stamp: make([]int32, n), peers: make([]int, 0, n)}
+	p.in = in
+	if cap(p.stamp) < n {
+		p.stamp = make([]int32, n)
+		p.peers = make([]int, 0, n)
+		return
+	}
+	p.stamp = p.stamp[:n]
+	clear(p.stamp)
 }
 
 // of returns w's co-candidates in first-visit order. The slice is reused

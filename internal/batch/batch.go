@@ -321,6 +321,8 @@ type stage interface {
 	AddTask(t model.Task)
 	Plan() *incremental.Round
 	Solve(ctx context.Context, solver assign.Solver) (*model.Assignment, error)
+	// Upper is assign.Upper of the planned instance; call it before Commit.
+	Upper() float64
 	Commit(a *model.Assignment, removeWorkers, removeTasks []int)
 	NumWorkers() int
 	NumTasks() int
@@ -389,6 +391,8 @@ func (s *scratchStage) Plan() *incremental.Round {
 func (s *scratchStage) Solve(ctx context.Context, solver assign.Solver) (*model.Assignment, error) {
 	return solver.Solve(ctx, s.round.In)
 }
+
+func (s *scratchStage) Upper() float64 { return assign.Upper(s.round.In) }
 
 // Commit removes the given ascending positions into new slices and drops
 // the round's instance, so the stage holds nothing between rounds but the
@@ -523,7 +527,7 @@ func (s *sim) run(ctx context.Context, st stage) (*Result, error) {
 			}
 			bs.ValidPairs = in.NumValidPairs()
 			dispatched, doneTasks = s.dispatch(in, a, now, &bs, &busy, res)
-			upper = assign.Upper(in)
+			upper = st.Upper()
 			res.UpperTotal += upper
 		}
 		bs.AvailableWorkers, bs.AvailableTasks = st.NumWorkers(), st.NumTasks()

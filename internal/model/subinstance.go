@@ -64,21 +64,8 @@ func (in *Instance) SubInstance(workerIDs, taskIDs []int) (*Instance, *SubIndex)
 	tIDs := append([]int(nil), taskIDs...)
 	sort.Ints(wIDs)
 	sort.Ints(tIDs)
-
-	// Parent position → sub position (-1: outside the selection).
-	taskLocal := make([]int, len(in.Tasks))
-	for i := range taskLocal {
-		taskLocal[i] = -1
-	}
-	for j, t := range tIDs {
-		if t < 0 || t >= len(in.Tasks) {
-			panic(fmt.Sprintf("model: SubInstance task index %d out of range [0,%d)", t, len(in.Tasks)))
-		}
-		if taskLocal[t] != -1 {
-			panic(fmt.Sprintf("model: SubInstance duplicate task index %d", t))
-		}
-		taskLocal[t] = j
-	}
+	checkSelection("task", tIDs, len(in.Tasks))
+	checkSelection("worker", wIDs, len(in.Workers))
 
 	sub := &Instance{
 		Workers:    make([]Worker, len(wIDs)),
@@ -93,29 +80,65 @@ func (in *Instance) SubInstance(workerIDs, taskIDs []int) (*Instance, *SubIndex)
 	for j, t := range tIDs {
 		sub.Tasks[j] = in.Tasks[t]
 	}
-	seen := make(map[int]bool, len(wIDs))
+	// Every worker list is carved from one backing slice, sized by the
+	// parent lists it filters; taskDeg counts each sub task's candidates
+	// so the task lists can be carved from a second one below.
+	n := 0
+	for _, w := range wIDs {
+		n += len(in.WorkerCand[w])
+	}
+	wBack := make([]int, 0, n)
+	taskDeg := make([]int, len(tIDs)+1)
 	for i, w := range wIDs {
-		if w < 0 || w >= len(in.Workers) {
-			panic(fmt.Sprintf("model: SubInstance worker index %d out of range [0,%d)", w, len(in.Workers)))
-		}
-		if seen[w] {
-			panic(fmt.Sprintf("model: SubInstance duplicate worker index %d", w))
-		}
-		seen[w] = true
 		sub.Workers[i] = in.Workers[w]
-		cand := make([]int, 0, len(in.WorkerCand[w]))
+		start := len(wBack)
+		// Parent lists and tIDs are both ascending, so each match is
+		// searched for only past the previous one, and the sub lists come
+		// out ascending too.
+		lo := 0
 		for _, t := range in.WorkerCand[w] {
-			if j := taskLocal[t]; j != -1 {
-				cand = append(cand, j)
+			j := lo
+			if j < len(tIDs) && tIDs[j] != t {
+				j += sort.SearchInts(tIDs[lo:], t)
 			}
+			if j == len(tIDs) {
+				break
+			}
+			if tIDs[j] == t {
+				wBack = append(wBack, j)
+				taskDeg[j+1]++
+				j++
+			}
+			lo = j
 		}
-		sub.WorkerCand[i] = cand
-		// Parent lists are ascending and the remap is monotone, so the sub
-		// lists come out ascending too; TaskCand below inherits worker order
-		// the same way BuildCandidates emits it.
+		sub.WorkerCand[i] = wBack[start:len(wBack):len(wBack)]
+	}
+	// taskDeg becomes each task list's offset; TaskCand inherits worker
+	// order the same way BuildCandidates emits it.
+	for j := range tIDs {
+		taskDeg[j+1] += taskDeg[j]
+	}
+	tBack := make([]int, len(wBack))
+	for j := range tIDs {
+		sub.TaskCand[j] = tBack[taskDeg[j]:taskDeg[j]:taskDeg[j+1]]
+	}
+	for i, cand := range sub.WorkerCand {
 		for _, j := range cand {
 			sub.TaskCand[j] = append(sub.TaskCand[j], i)
 		}
 	}
 	return sub, &SubIndex{WorkerIDs: wIDs, TaskIDs: tIDs}
+}
+
+// checkSelection panics unless the ascending positions ids are in [0, n)
+// and distinct.
+func checkSelection(kind string, ids []int, n int) {
+	for k, x := range ids {
+		if x < 0 || x >= n {
+			panic(fmt.Sprintf("model: SubInstance %s index %d out of range [0,%d)", kind, x, n))
+		}
+		if k > 0 && ids[k-1] == x {
+			panic(fmt.Sprintf("model: SubInstance duplicate %s index %d", kind, x))
+		}
+	}
 }

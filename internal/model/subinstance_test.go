@@ -166,3 +166,39 @@ func TestSubInstancePanics(t *testing.T) {
 	bare := &Instance{Workers: in.Workers, Tasks: in.Tasks, Quality: in.Quality, B: in.B}
 	mustPanic("no candidates", func() { bare.SubInstance([]int{0}, []int{0}) })
 }
+
+// TestSubInstanceBytesIndependentOfParent: extracting a component costs
+// memory in proportion to the component, not to the parent. The same
+// 3-worker component is selected from a 100-task and a 10 000-task parent.
+func TestSubInstanceBytesIndependentOfParent(t *testing.T) {
+	parent := func(nT int) *Instance {
+		// Workers 0-2 and tasks 0-1 form the component; worker 3 holds
+		// every other task.
+		in := &Instance{Quality: coop.Synthetic{N: 4, Seed: 1}, B: 2}
+		in.Workers = make([]Worker, 4)
+		in.Tasks = make([]Task, nT)
+		in.WorkerCand = make([][]int, 4)
+		in.TaskCand = make([][]int, nT)
+		for w := 0; w < 3; w++ {
+			in.WorkerCand[w] = []int{0, 1}
+		}
+		in.TaskCand[0], in.TaskCand[1] = []int{0, 1, 2}, []int{0, 1, 2}
+		for j := 2; j < nT; j++ {
+			in.WorkerCand[3] = append(in.WorkerCand[3], j)
+			in.TaskCand[j] = []int{3}
+		}
+		return in
+	}
+	bytes := func(in *Instance) int64 {
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				in.SubInstance([]int{2, 0, 1}, []int{1, 0})
+			}
+		}).AllocedBytesPerOp()
+	}
+	small, large := bytes(parent(100)), bytes(parent(10_000))
+	if small != large {
+		t.Fatalf("SubInstance of one component allocates %d B from a 100-task parent and %d B from a 10 000-task parent", small, large)
+	}
+}
