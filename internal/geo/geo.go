@@ -74,7 +74,7 @@ func (r Rect) Union(s Rect) Rect {
 
 // Contains reports whether p lies inside r (boundary inclusive).
 //
-//casclint:ignore deadcode reference oracle: TestCircleRectConsistency checks IntersectsCircle against it
+//casclint:ignore deadcode reference oracle: TestCircleRectConsistency checks Disc.MayIntersect against it
 func (r Rect) Contains(p Point) bool {
 	return r.Min.X <= p.X && p.X <= r.Max.X && r.Min.Y <= p.Y && p.Y <= r.Max.Y
 }
@@ -84,14 +84,8 @@ func (r Rect) Center() Point {
 	return Point{X: (r.Min.X + r.Max.X) / 2, Y: (r.Min.Y + r.Max.Y) / 2}
 }
 
-// DistToPoint returns the minimum distance from p to any point of r
-// (zero when p is inside r).
-func (r Rect) DistToPoint(p Point) float64 {
-	dx := axisDist(p.X, r.Min.X, r.Max.X)
-	dy := axisDist(p.Y, r.Min.Y, r.Max.Y)
-	return math.Hypot(dx, dy)
-}
-
+// axisDist returns the distance from v to [lo, hi] along one axis. It
+// rounds like v's offset from a point of [lo, hi], and is never larger.
 func axisDist(v, lo, hi float64) float64 {
 	switch {
 	case v < lo:
@@ -103,26 +97,53 @@ func axisDist(v, lo, hi float64) float64 {
 	}
 }
 
-// IntersectsCircle reports whether r intersects the closed disk centered at
-// c with radius rad. This is the primitive behind working-area range queries:
-// a worker with radius rad at c can reach tasks whose index rectangles
-// satisfy this predicate.
-func (r Rect) IntersectsCircle(c Point, rad float64) bool {
-	if rad < 0 {
-		return false
-	}
-	return r.DistToPoint(c) <= rad
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%s %s]", r.Min, r.Max)
 }
 
-// InCircle reports whether p lies within (boundary inclusive) the disk
-// centered at c with radius rad.
-func InCircle(p, c Point, rad float64) bool {
-	return rad >= 0 && p.Dist2(c) <= rad*rad
+// InDisc reports whether p lies in the closed disc centred at c with
+// radius rad: the working-area term of Definition 3. It is the only test
+// of disc membership on a candidate path (Valid, the R-tree, the grid, the
+// linear scan and the incremental engine), so every path admits the same
+// pairs to the bit. A negative or NaN rad admits nothing, since Hypot is
+// never negative.
+func InDisc(p, c Point, rad float64) bool {
+	return math.Hypot(p.X-c.X, p.Y-c.Y) <= rad
+}
+
+// Disc is the disc of one range query, prepared to reject far points and
+// prune boxes on squared distance ahead of InDisc.
+type Disc struct {
+	c Point
+	// far2 exceeds the rounded dx²+dy² of every point InDisc keeps. Hypot
+	// errs by under 4 units of 2^-53 relative, the squares and sum by 3
+	// more; the slack rad²·2^-48 is 32 such units, and 2^-1000 covers
+	// underflow. An overflowing rad² makes far2 +Inf, which prunes nothing.
+	far2 float64
+}
+
+// NewDisc prepares the disc centred at c with radius rad.
+func NewDisc(c Point, rad float64) Disc {
+	r2 := rad * rad
+	return Disc{c: c, far2: r2 + r2*0x1p-48 + 0x1p-1000}
+}
+
+// Near reports false only for points InDisc rejects. It spares them the
+// Hypot; InDisc decides the rest.
+func (d Disc) Near(p Point) bool {
+	dx, dy := p.X-d.c.X, p.Y-d.c.Y
+	return !(dx*dx+dy*dy > d.far2)
+}
+
+// MayIntersect reports false only when no point of r is in the disc. Its
+// squared distance from c to r is at most Near's for any point of r;
+// pruning on Hypot would not be safe, because Hypot is not monotone in its
+// arguments.
+func (d Disc) MayIntersect(r Rect) bool {
+	dx := axisDist(d.c.X, r.Min.X, r.Max.X)
+	dy := axisDist(d.c.Y, r.Min.Y, r.Max.Y)
+	return !(dx*dx+dy*dy > d.far2)
 }
 
 // TravelTime returns the time a worker moving at speed v takes to cover the

@@ -96,49 +96,61 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectDistToPoint(t *testing.T) {
-	r := Rect{Min: Pt(0, 0), Max: Pt(1, 1)}
-	tests := []struct {
-		p    Point
-		want float64
-	}{
-		{Pt(0.5, 0.5), 0},
-		{Pt(2, 0.5), 1},
-		{Pt(0.5, -2), 2},
-		{Pt(4, 5), 5}, // corner at (1,1): 3-4-5 triangle
-	}
-	for _, tt := range tests {
-		if got := r.DistToPoint(tt.p); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("DistToPoint(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-}
-
 func TestIntersectsCircle(t *testing.T) {
 	r := Rect{Min: Pt(0, 0), Max: Pt(1, 1)}
-	if !r.IntersectsCircle(Pt(0.5, 0.5), 0.01) {
+	if !NewDisc(Pt(0.5, 0.5), 0.01).MayIntersect(r) {
 		t.Error("circle inside rect should intersect")
 	}
-	if !r.IntersectsCircle(Pt(2, 0.5), 1.0) {
+	if !NewDisc(Pt(2, 0.5), 1.0).MayIntersect(r) {
 		t.Error("circle touching edge should intersect")
 	}
-	if r.IntersectsCircle(Pt(2, 0.5), 0.99) {
+	if NewDisc(Pt(2, 0.5), 0.99).MayIntersect(r) {
 		t.Error("circle short of edge should not intersect")
 	}
-	if r.IntersectsCircle(Pt(0.5, 0.5), -1) {
-		t.Error("negative radius must never intersect")
+	if !NewDisc(Pt(4, 5), 5).MayIntersect(r) {
+		t.Error("circle touching the corner (a 3-4-5 offset) should intersect")
 	}
 }
 
-func TestInCircle(t *testing.T) {
-	if !InCircle(Pt(0.3, 0.4), Pt(0, 0), 0.5) {
-		t.Error("boundary point should be in circle")
+func TestInDisc(t *testing.T) {
+	if !InDisc(Pt(0.3, 0.4), Pt(0, 0), 0.5) {
+		t.Error("boundary point should be in disc")
 	}
-	if InCircle(Pt(0.3, 0.4), Pt(0, 0), 0.49) {
-		t.Error("outside point reported in circle")
+	if InDisc(Pt(0.3, 0.4), Pt(0, 0), 0.49) {
+		t.Error("outside point reported in disc")
 	}
-	if InCircle(Pt(0, 0), Pt(0, 0), -0.1) {
-		t.Error("negative radius circle contains nothing")
+	if InDisc(Pt(0, 0), Pt(0, 0), -0.1) {
+		t.Error("negative radius disc contains nothing")
+	}
+	if InDisc(Pt(0, 0), Pt(0, 0), math.NaN()) {
+		t.Error("NaN radius disc contains nothing")
+	}
+	// Hypot of the rounded offsets (0.30000000000000004, 0.4) is exactly
+	// 0.5, while their squares sum to 0.25000000000000006 > 0.25: the
+	// disc keeps the point, as every candidate path must.
+	w, p := Pt(0.1, 0.1), Pt(0.4, 0.5)
+	if !InDisc(p, w, 0.5) || !NewDisc(w, 0.5).Near(p) {
+		t.Error("point at Hypot distance exactly 0.5 should be in the disc")
+	}
+}
+
+// TestDiscPruneNonMonotoneHypot pins the reason MayIntersect does not prune
+// on Hypot: Hypot of a box's smaller offset can exceed Hypot of the offset
+// of a point inside the box, so a box holding an in-disc point would be
+// dropped.
+func TestDiscPruneNonMonotoneHypot(t *testing.T) {
+	p := Pt(0.7915117674637053, 0.620960446629331)
+	box := Rect{Min: Pt(0.7915117674637052, 0.620960446629331), Max: Pt(1, 1)}
+	c, rad := Pt(0, 0), math.Hypot(p.X, p.Y)
+	if math.Hypot(box.Min.X, box.Min.Y) <= rad {
+		t.Fatal("Hypot is monotone on this pair; the case no longer shows anything")
+	}
+	d := NewDisc(c, rad)
+	if !InDisc(p, c, rad) || !d.Near(p) {
+		t.Fatal("point at distance rad not in the disc")
+	}
+	if !d.MayIntersect(box) {
+		t.Error("MayIntersect pruned a box holding an in-disc point")
 	}
 }
 
@@ -155,15 +167,19 @@ func TestTravelTime(t *testing.T) {
 }
 
 func TestCircleRectConsistency(t *testing.T) {
-	// Property: if a point is in the circle and in the rect, the rect must
-	// intersect the circle.
+	// Property: a point in the disc is Near it, and if it is also in the
+	// rect, the rect must intersect the disc.
 	f := func(px, py, cx, cy, rad float64) bool {
 		rad = math.Mod(math.Abs(rad), 10)
 		p := Pt(math.Mod(px, 10), math.Mod(py, 10))
 		c := Pt(math.Mod(cx, 10), math.Mod(cy, 10))
 		r := Rect{Min: Pt(-5, -5), Max: Pt(5, 5)}
-		if InCircle(p, c, rad) && r.Contains(p) {
-			return r.IntersectsCircle(c, rad)
+		d := NewDisc(c, rad)
+		if InDisc(p, c, rad) && !d.Near(p) {
+			return false
+		}
+		if InDisc(p, c, rad) && r.Contains(p) {
+			return d.MayIntersect(r)
 		}
 		return true
 	}

@@ -1,9 +1,9 @@
 // Package grid implements a uniform-grid spatial index over the unit square.
-// It is the ablation alternative to the R-tree (see DESIGN.md §4.6): for the
-// paper's workloads — points uniformly or Gaussian-clustered in [0,1]^2 and
-// circular range queries with radii of 1-20% of the space — a flat grid is
-// competitive with a hierarchical index, and the benchmark
-// BenchmarkAblationSpatialIndex quantifies the difference.
+// It is the ablation alternative to the R-tree (see DESIGN.md §4.6;
+// BenchmarkAblationSpatialIndex compares them) and the incremental
+// engine's index of live workers and tasks. SearchCircle decides
+// membership with geo.InDisc, so it returns exactly the points the R-tree
+// and a linear scan return.
 package grid
 
 import (
@@ -14,7 +14,7 @@ import (
 
 // Index is a uniform grid over [0,1]^2. Points outside the unit square are
 // clamped into it for cell addressing (their true coordinates are kept for
-// the final distance filter).
+// the disc test).
 type Index struct {
 	cells      [][]entry
 	resolution int
@@ -54,16 +54,19 @@ func ForCount(n int) *Index {
 }
 
 func (g *Index) cellIndex(p geo.Point) int {
-	c := p.Clamp(0, 1)
-	x := int(c.X * float64(g.resolution))
-	y := int(c.Y * float64(g.resolution))
-	if x == g.resolution {
-		x--
+	return g.cellCoord(p.Y)*g.resolution + g.cellCoord(p.X)
+}
+
+// cellCoord maps a coordinate, clamped into [0,1], to its cell column or
+// row. The map is monotone in v, which SearchCircle's cell range relies on.
+func (g *Index) cellCoord(v float64) int {
+	switch {
+	case !(v > 0):
+		return 0
+	case v >= 1:
+		return g.resolution - 1
 	}
-	if y == g.resolution {
-		y--
-	}
-	return y*g.resolution + x
+	return min(int(v*float64(g.resolution)), g.resolution-1)
 }
 
 // Insert adds a point with the given ID.
@@ -86,45 +89,28 @@ func (g *Index) Delete(p geo.Point, id int) bool {
 	return false
 }
 
-// SearchCircle appends to dst the IDs of all points within the closed disk
-// of radius rad centered at c, and returns the extended slice.
+// SearchCircle appends to dst the IDs of all points p with
+// geo.InDisc(p, c, rad), and returns the extended slice.
 func (g *Index) SearchCircle(c geo.Point, rad float64, dst []int) []int {
-	if rad < 0 {
+	if !(rad >= 0) {
 		return dst
 	}
-	step := 1.0 / float64(g.resolution)
-	x0 := cellCoord(c.X-rad, g.resolution)
-	x1 := cellCoord(c.X+rad, g.resolution)
-	y0 := cellCoord(c.Y-rad, g.resolution)
-	y1 := cellCoord(c.Y+rad, g.resolution)
-	rad2 := rad * rad
+	// A point InDisc keeps has |p.X-c.X| <= rad once rounded (Hypot is
+	// never below its larger argument), so it lies in [c.X-rad, c.X+rad]
+	// up to a few roundings of c and rad. m is far wider than those, so no
+	// such point falls outside the cell range, even on a cell edge.
+	m := (1 + math.Abs(c.X) + math.Abs(c.Y) + rad) * 0x1p-48
+	x0, x1 := g.cellCoord(c.X-rad-m), g.cellCoord(c.X+rad+m)
+	y0, y1 := g.cellCoord(c.Y-rad-m), g.cellCoord(c.Y+rad+m)
+	d := geo.NewDisc(c, rad)
 	for y := y0; y <= y1; y++ {
-		// Skip rows whose vertical band is entirely outside the disk.
-		rowRect := geo.Rect{
-			Min: geo.Pt(float64(x0)*step, float64(y)*step),
-			Max: geo.Pt(float64(x1+1)*step, float64(y+1)*step),
-		}
-		if !rowRect.IntersectsCircle(c, rad) {
-			continue
-		}
-		for x := x0; x <= x1; x++ {
-			for _, e := range g.cells[y*g.resolution+x] {
-				if e.p.Dist2(c) <= rad2 {
+		for _, cell := range g.cells[y*g.resolution+x0 : y*g.resolution+x1+1] {
+			for _, e := range cell {
+				if d.Near(e.p) && geo.InDisc(e.p, c, rad) {
 					dst = append(dst, e.id)
 				}
 			}
 		}
 	}
 	return dst
-}
-
-func cellCoord(v float64, res int) int {
-	if v < 0 {
-		return 0
-	}
-	c := int(v * float64(res))
-	if c >= res {
-		c = res - 1
-	}
-	return c
 }

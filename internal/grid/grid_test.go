@@ -24,7 +24,7 @@ func randPts(r *rand.Rand, n int) []pt {
 func bruteCircle(pts []pt, c geo.Point, rad float64) []int {
 	var out []int
 	for _, e := range pts {
-		if geo.InCircle(e.p, c, rad) {
+		if geo.InDisc(e.p, c, rad) {
 			out = append(out, e.id)
 		}
 	}
@@ -111,6 +111,28 @@ func TestBoundaryPoints(t *testing.T) {
 	}
 }
 
+// TestCellEdgeBoundary puts a point on a cell edge at distance exactly rad
+// from the query centre. 1/49 times 49 rounds below 1, so the point lives
+// in cell 0, but c.X-rad rounds to a value that maps to cell 1: a cell
+// range taken from c.X-rad alone left the point out although InDisc keeps
+// it.
+func TestCellEdgeBoundary(t *testing.T) {
+	g := New(49)
+	p := geo.Pt(1.0/49, 0.5)
+	g.Insert(p, 7)
+	c := geo.Pt(0.4363735897502143, 0.5)
+	rad := c.X - p.X
+	if g.cellCoord(p.X) != 0 || g.cellCoord(c.X-rad) != 1 {
+		t.Fatalf("cells %d and %d; the case no longer sits on the edge", g.cellCoord(p.X), g.cellCoord(c.X-rad))
+	}
+	if !geo.InDisc(p, c, rad) {
+		t.Fatal("point not in the disc")
+	}
+	if got := g.SearchCircle(c, rad, nil); len(got) != 1 || got[0] != 7 {
+		t.Errorf("SearchCircle = %v, want [7]", got)
+	}
+}
+
 func TestOutOfRangePointsClamped(t *testing.T) {
 	g := New(8)
 	g.Insert(geo.Pt(-0.5, 1.7), 1)
@@ -127,6 +149,17 @@ func TestOutOfRangePointsClamped(t *testing.T) {
 	}
 	if !g.Delete(geo.Pt(-0.5, 1.7), 1) {
 		t.Error("delete of clamped point failed")
+	}
+}
+
+// TestQueryCentreOutsideSquare queries from outside the unit square: the
+// point beyond x = 1 is clamped into the last column but kept at its true
+// position, 0.05 from the centre.
+func TestQueryCentreOutsideSquare(t *testing.T) {
+	g := New(8)
+	g.Insert(geo.Pt(1.15, 0.5), 1)
+	if got := g.SearchCircle(geo.Pt(1.2, 0.5), 0.1, nil); len(got) != 1 {
+		t.Errorf("got %v, want the point 0.05 away", got)
 	}
 }
 

@@ -13,7 +13,8 @@
 // to a from-scratch rebuild-and-solve of the same round. The pillars:
 //
 //   - Edge exactness. An edge is stored with its travel time once (travel
-//     and the radius test depend only on static locations) and the full
+//     and the radius test depend only on static locations; the radius test
+//     is geo.InDisc, as in BuildCandidates) and the full
 //     validity predicate of Definition 3 is re-evaluated against it every
 //     round, so the active edge set equals BuildCandidates' output exactly.
 //     Slack only shrinks, so travel > slack drops an edge permanently;
@@ -55,10 +56,6 @@ import (
 type Config struct {
 	// B is the least group size, fixed for the engine's lifetime.
 	B int
-	// Travel optionally overrides the Euclidean travel-time model; it must
-	// be a pure function of the (worker, task) pair, since the engine
-	// evaluates it once per edge at discovery.
-	Travel model.TravelFunc
 	// OrderByID keeps workers and tasks sorted ascending by external ID
 	// (the shard tier's ordering); default is arrival order with
 	// order-preserving compaction (the batch tier's ordering).
@@ -230,14 +227,6 @@ func (e *Engine) NumWorkers() int { return len(e.workers) }
 // NumTasks returns the live task count.
 func (e *Engine) NumTasks() int { return len(e.tasks) }
 
-// travelTime evaluates the configured travel model for a pair.
-func (e *Engine) travelTime(w model.Worker, t model.Task) float64 {
-	if e.cfg.Travel != nil {
-		return e.cfg.Travel(w, t)
-	}
-	return geo.TravelTime(w.Loc, t.Loc, w.Speed)
-}
-
 func (e *Engine) markWorkerDirty(ws *workerState) {
 	if !ws.dirty {
 		ws.dirty = true
@@ -391,8 +380,8 @@ func (e *Engine) AddWorker(w model.Worker) {
 	}
 	e.markWorkerDirty(ws)
 
-	// The grid search is exact on d ≤ Radius, so only the travel and time
-	// terms remain to evaluate.
+	// The grid decides the disc with geo.InDisc, as BuildCandidates does,
+	// so only the travel and time terms remain to evaluate.
 	e.searchBuf = e.tGrid.SearchCircle(w.Loc, w.Radius, e.searchBuf[:0])
 	for _, uid := range e.searchBuf {
 		ts := e.tByUID[uid]
@@ -403,7 +392,7 @@ func (e *Engine) AddWorker(w model.Worker) {
 // link discovers the edge (ws, ts) if it can ever be valid, and appends it.
 func (e *Engine) link(ws *workerState, ts *taskState) {
 	slack := ts.t.Deadline - e.now
-	travel := e.travelTime(ws.w, ts.t)
+	travel := geo.TravelTime(ws.w.Loc, ts.t.Loc, ws.w.Speed)
 	if travel > slack {
 		// Already unreachable; slack only shrinks, so never add the edge.
 		return
@@ -439,9 +428,9 @@ func (e *Engine) AddTask(t model.Task) {
 	e.searchBuf = e.wGrid.SearchCircle(t.Loc, e.maxRadius, e.searchBuf[:0])
 	for _, uid := range e.searchBuf {
 		ws := e.wByUID[uid]
-		// The grid query over-approximates the radius term (it uses
-		// maxRadius), so the exact disc test applies here.
-		if ws.w.Loc.Dist(t.Loc) > ws.w.Radius {
+		// The query ran at maxRadius, so it returns every worker whose
+		// own disc holds the task, and some more; InDisc keeps the former.
+		if !geo.InDisc(t.Loc, ws.w.Loc, ws.w.Radius) {
 			continue
 		}
 		e.link(ws, ts)
@@ -464,7 +453,6 @@ func (e *Engine) Plan() *Round {
 
 	e.in.B = e.cfg.B
 	e.in.Now = e.now
-	e.in.Travel = e.cfg.Travel
 	e.in.Quality = nil
 	e.in.Workers = e.in.Workers[:0]
 	for _, ws := range e.workers {

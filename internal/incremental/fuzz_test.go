@@ -44,7 +44,11 @@ import (
 // — the batch tier's, the shard tier's (OrderByID, Carry off), or
 // OrderByID with Carry — and scrambles the external IDs, which stay unique
 // but are no longer monotone in arrival order, so the ID sort really
-// reorders entities. Scripts without the marker replay as they always did.
+// reorders entities. A first byte in [0xE0, 0xF0) is the same marker and
+// also puts positions on the 1/20 lattice, with radii of 5 or 10 lattice
+// steps and four times the speed, so 3-4-5 and 5-0 offsets put reachable
+// tasks exactly on working-disc edges, and some points on the engine
+// grid's cell edges. Scripts without a marker replay as they always did.
 func FuzzIncrementalDirtySet(f *testing.F) {
 	f.Add(int64(1), []byte{3, 5, 2, 9, 1, 4, 7, 0, 6, 2})
 	f.Add(int64(7), []byte{8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
@@ -53,6 +57,11 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 	// Marked: the shard tier's configuration, then OrderByID with Carry.
 	f.Add(int64(6), []byte{0xF1, 3, 4, 2, 9, 1, 4, 7, 0, 6, 3, 4})
 	f.Add(int64(32), []byte{0xF2, 3, 4, 2, 9, 1, 4, 7, 0, 6, 3, 4})
+	// Lattice, in the batch tier's and the shard tier's configuration:
+	// some pairs sit on a disc edge where Hypot admits them and the
+	// squared distance did not.
+	f.Add(int64(2), []byte{0xE0, 4, 4, 4, 9, 4, 4, 7, 0, 4, 3, 4})
+	f.Add(int64(4), []byte{0xE1, 4, 4, 4, 9, 4, 4, 7, 0, 4, 3, 4})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		if len(script) == 0 {
 			t.Skip("empty script")
@@ -62,7 +71,8 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 		next := func() int { b := int(script[pos%len(script)]); pos++; return b }
 		orderByID, carry := false, true
 		id := func(n int) int { return n }
-		if script[0] >= 0xF0 {
+		lattice := script[0] >= 0xE0 && script[0] < 0xF0
+		if script[0] >= 0xE0 {
 			mode := next() % 3
 			orderByID, carry = mode != 0, mode != 1
 			// n ↦ n·1237 mod 4096 is a bijection on [0, 4096).
@@ -71,6 +81,12 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 		eng := incremental.New(incremental.Config{B: B, OrderByID: orderByID, Carry: carry, Seed: seed})
 		base := coop.Synthetic{N: 4096, Seed: uint64(seed) + 1}
 		rng := stats.NewRNG(seed)
+		loc := func() geo.Point {
+			if lattice {
+				return geo.Pt(float64(rng.Intn(21))/20, float64(rng.Intn(21))/20)
+			}
+			return geo.Pt(rng.Float64(), rng.Float64())
+		}
 		solver := assign.NewTPG()
 		ctx := context.Background()
 		nextW, nextT := 0, 0
@@ -82,21 +98,26 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 			eng.BeginRound(now)
 
 			for i, nw := 0, next()%5; i < nw && nextW < 4000; i++ {
-				eng.AddWorker(model.Worker{
+				w := model.Worker{
 					ID:  id(nextW),
-					Loc: geo.Pt(rng.Float64(), rng.Float64()),
+					Loc: loc(),
 					// Radii large enough that components overlap and merge.
 					Speed:  0.05 + rng.Float64()*0.1,
 					Radius: 0.05 + rng.Float64()*0.2,
 					// Future arrivals exercise the time-gate flips.
 					Arrive: now + float64(next()%3) - 1,
-				})
+				}
+				if lattice {
+					w.Radius = float64(5+5*rng.Intn(2)) / 20
+					w.Speed *= 4
+				}
+				eng.AddWorker(w)
 				nextW++
 			}
 			for i, nt := 0, next()%5; i < nt && nextT < 4000; i++ {
 				eng.AddTask(model.Task{
 					ID:       id(nextT),
-					Loc:      geo.Pt(rng.Float64(), rng.Float64()),
+					Loc:      loc(),
 					Capacity: B + next()%3,
 					Created:  now + float64(next()%2),
 					Deadline: now + 0.5 + float64(next()%4),

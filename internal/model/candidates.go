@@ -40,7 +40,9 @@ func (k IndexKind) String() string {
 // BuildCandidates populates in.WorkerCand and in.TaskCand: for every worker
 // it runs a circular range query with radius r_i centered at l_i over the
 // task locations, then filters by the deadline-reachability condition of
-// Definition 3. Candidate lists are sorted ascending.
+// Definition 3. Every index decides the disc with geo.InDisc, so all three
+// return the same ID set, and the lists, sorted ascending, are identical
+// whichever index built them.
 func (in *Instance) BuildCandidates(kind IndexKind) {
 	nW, nT := len(in.Workers), len(in.Tasks)
 	in.WorkerCand = make([][]int, nW)
@@ -51,11 +53,8 @@ func (in *Instance) BuildCandidates(kind IndexKind) {
 	case IndexRTree:
 		items := make([]rtree.Item, nT)
 		for j, t := range in.Tasks {
-			items[j] = rtree.Item{Rect: geo.PointRect(t.Loc), ID: j}
+			items[j] = rtree.Item{Loc: t.Loc, ID: j}
 		}
-		// The packed R*-tree returns the same ID set as the boxed tree
-		// (both exact range queries); the sort below makes the candidate
-		// lists — and so every downstream solver decision — identical.
 		tr := rtree.BulkRStar(items, 0)
 		query = tr.SearchCircle
 	case IndexGrid:
@@ -66,8 +65,9 @@ func (in *Instance) BuildCandidates(kind IndexKind) {
 		query = g.SearchCircle
 	case IndexLinear:
 		query = func(c geo.Point, rad float64, dst []int) []int {
+			d := geo.NewDisc(c, rad)
 			for j, t := range in.Tasks {
-				if geo.InCircle(t.Loc, c, rad) {
+				if d.Near(t.Loc) && geo.InDisc(t.Loc, c, rad) {
 					dst = append(dst, j)
 				}
 			}

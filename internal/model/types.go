@@ -97,8 +97,7 @@ func ValidTravel(w Worker, t Task, now float64, travel TravelFunc) bool {
 	if slack < 0 {
 		return false
 	}
-	d := w.Loc.Dist(t.Loc)
-	if d > w.Radius {
+	if !geo.InDisc(t.Loc, w.Loc, w.Radius) {
 		return false
 	}
 	if travel == nil {

@@ -82,13 +82,15 @@ func (t *RStar) nodeBBox(n int32) geo.Rect {
 	return b
 }
 
-// SearchCircle appends to dst the IDs of all items whose rectangles
-// intersect the closed disk of radius rad centered at c, and returns the
-// extended slice.
+// SearchCircle appends to dst the IDs of all items p with
+// geo.InDisc(p, c, rad), and returns the extended slice. Internal entries
+// are pruned by geo.Disc.MayIntersect, which never drops an item InDisc
+// keeps.
 func (t *RStar) SearchCircle(c geo.Point, rad float64, dst []int) []int {
 	if t.size == 0 {
 		return dst
 	}
+	d := geo.NewDisc(c, rad)
 	stack := []int32{t.root}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -96,13 +98,11 @@ func (t *RStar) SearchCircle(c geo.Point, rad float64, dst []int) []int {
 		base := int(n) * t.maxEntries
 		for i := 0; i < int(t.count[n]); i++ {
 			s := base + i
-			r := geo.Rect{Min: geo.Pt(t.minX[s], t.minY[s]), Max: geo.Pt(t.maxX[s], t.maxY[s])}
-			if !r.IntersectsCircle(c, rad) {
-				continue
-			}
 			if t.leaf[n] {
-				dst = append(dst, int(t.ref[s]))
-			} else {
+				if p := geo.Pt(t.minX[s], t.minY[s]); d.Near(p) && geo.InDisc(p, c, rad) {
+					dst = append(dst, int(t.ref[s]))
+				}
+			} else if d.MayIntersect(t.entRect(n, int32(i))) {
 				stack = append(stack, t.ref[s])
 			}
 		}
@@ -123,7 +123,7 @@ func BulkRStar(items []Item, maxEntries int) *RStar {
 	sorted := make([]Item, len(items))
 	copy(sorted, items)
 	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Rect.Center().X < sorted[j].Rect.Center().X
+		return sorted[i].Loc.X < sorted[j].Loc.X
 	})
 	nLeaves := (len(sorted) + m - 1) / m
 	nSlices := int(math.Ceil(math.Sqrt(float64(nLeaves))))
@@ -136,7 +136,7 @@ func BulkRStar(items []Item, maxEntries int) *RStar {
 		}
 		slice := sorted[s:end]
 		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].Rect.Center().Y < slice[j].Rect.Center().Y
+			return slice[i].Loc.Y < slice[j].Loc.Y
 		})
 		for o := 0; o < len(slice); o += m {
 			oe := o + m
@@ -153,7 +153,7 @@ func BulkRStar(items []Item, maxEntries int) *RStar {
 				if it.ID < 0 || it.ID > math.MaxInt32 {
 					panic(fmt.Sprintf("rtree: RStar item ID %d outside int31", it.ID))
 				}
-				t.appendEnt(n, it.Rect, int32(it.ID))
+				t.appendEnt(n, geo.PointRect(it.Loc), int32(it.ID))
 			}
 			level = append(level, n)
 		}

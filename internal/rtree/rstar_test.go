@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,7 +12,7 @@ import (
 func linearCircle(items []Item, c geo.Point, rad float64) []int {
 	var out []int
 	for _, it := range items {
-		if it.Rect.IntersectsCircle(c, rad) {
+		if geo.InDisc(it.Loc, c, rad) {
 			out = append(out, it.ID)
 		}
 	}
@@ -55,7 +56,7 @@ func TestRStarBulkVsLinear(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 16, 17, 100, 1000} {
 		items := make([]Item, n)
 		for i := range items {
-			items[i] = Item{Rect: geo.PointRect(geo.Pt(r.Float64(), r.Float64())), ID: i}
+			items[i] = Item{Loc: geo.Pt(r.Float64(), r.Float64()), ID: i}
 		}
 		tr := BulkRStar(items, 0)
 		for q := 0; q < 20; q++ {
@@ -66,11 +67,34 @@ func TestRStarBulkVsLinear(t *testing.T) {
 	for _, fanout := range []int{4, 16} {
 		items := make([]Item, 100)
 		for i := range items {
-			items[i] = Item{Rect: geo.PointRect(geo.Pt(0.5, 0.5)), ID: i}
+			items[i] = Item{Loc: geo.Pt(0.5, 0.5), ID: i}
 		}
 		qs := []geo.Point{geo.Pt(0.5, 0.5), geo.Pt(0.505, 0.5), geo.Pt(0.52, 0.5)}
 		requireTree(t, BulkRStar(items, fanout), items, qs, 0.01, "coincident")
 	}
+}
+
+// TestRStarNonMonotoneHypot builds a two-leaf tree whose first leaf's box
+// starts one ulp left of an item at distance exactly rad from the query
+// centre. Hypot of the box's offset exceeds Hypot of the item's (Hypot is
+// not monotone), so pruning internal entries on Hypot dropped the item.
+func TestRStarNonMonotoneHypot(t *testing.T) {
+	items := []Item{
+		{Loc: geo.Pt(0.7915117674637053, 0.620960446629331), ID: 0},
+		{Loc: geo.Pt(0.7915117674637052, 0.9), ID: 1},
+		{Loc: geo.Pt(0.8, 0.95), ID: 2},
+		{Loc: geo.Pt(0.85, 0.97), ID: 3},
+		{Loc: geo.Pt(5, 5), ID: 4},
+		{Loc: geo.Pt(5.1, 5), ID: 5},
+		{Loc: geo.Pt(5, 5.1), ID: 6},
+		{Loc: geo.Pt(5.1, 5.1), ID: 7},
+	}
+	tr := BulkRStar(items, 4)
+	if tr.height != 2 {
+		t.Fatalf("height %d, want 2", tr.height)
+	}
+	c, rad := geo.Pt(0, 0), math.Hypot(items[0].Loc.X, items[0].Loc.Y)
+	requireSameIDs(t, tr.SearchCircle(c, rad, nil), []int{0}, "boundary item")
 }
 
 // FuzzRStarOps packs fuzz-decoded points (two bytes each; the first byte
@@ -92,7 +116,7 @@ func FuzzRStarOps(f *testing.F) {
 		var qs []geo.Point
 		for i := 0; i+1 < len(data); i += 2 {
 			p := geo.Pt(float64(data[i])/255, float64(data[i+1])/255)
-			items = append(items, Item{Rect: geo.PointRect(p), ID: len(items)})
+			items = append(items, Item{Loc: p, ID: len(items)})
 			qs = append(qs, p)
 		}
 		qs = append(qs, geo.Pt(0.5, 0.5))

@@ -12,11 +12,11 @@ package rtree
 
 import "casc/internal/geo"
 
-// Item is an entry stored in the tree: a bounding rectangle plus an opaque
-// integer ID chosen by the caller (e.g. a task index).
+// Item is an entry stored in the tree: a point plus an opaque integer ID
+// chosen by the caller (e.g. a task index).
 type Item struct {
-	Rect geo.Rect
-	ID   int
+	Loc geo.Point
+	ID  int
 }
 
 // DefaultMaxEntries is the default node fan-out M.

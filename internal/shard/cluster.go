@@ -52,9 +52,6 @@ type Config struct {
 	// Alpha and Omega parameterize the Equation 1 estimator (default 0.5
 	// each, the paper's configuration).
 	Alpha, Omega float64
-	// Resolution is the per-axis cell resolution of the shard geometry
-	// (0: DefaultResolution).
-	Resolution int
 	// Router is the placement policy for new workers and tasks
 	// (nil: region affinity).
 	Router Policy
@@ -135,7 +132,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.B < 2 {
 		return nil, fmt.Errorf("shard: B = %d, want >= 2", cfg.B)
 	}
-	geom, err := NewGeometry(cfg.Resolution, cfg.K)
+	geom, err := NewGeometry(DefaultResolution, cfg.K)
 	if err != nil {
 		return nil, err
 	}

@@ -80,13 +80,17 @@ func tierOps(ops ...[]byte) []byte {
 // and expired count; and at the end every worker pair's quality estimate
 // must agree to the bit. Arbitrary ratings make each pair's history sum
 // order-sensitive, so any per-shard split of what the cluster learns shows.
+// A first byte of 0xF0 or more is a marker: it is skipped, and radius bytes
+// then read as r/255 like positions, so a pair can sit exactly on a
+// working-disc edge. Inputs without the marker replay as they always did.
 func FuzzServingTiers(f *testing.F) {
 	const (
 		b          = 3
 		maxOps     = 160
 		maxWorkers = 40
 	)
-	reg := func(x, y byte) []byte { return []byte{0, x, y, 200, 60} }
+	regR := func(x, y, r byte) []byte { return []byte{0, x, y, 200, r} }
+	reg := func(x, y byte) []byte { return regR(x, y, 60) }
 	post := func(x, y, capDl byte) []byte { return []byte{1, x, y, capDl} }
 	batch := func(solver byte) []byte { return []byte{2, solver} }
 	rate := func(pick, score byte) []byte { return []byte{3, pick, score} }
@@ -111,6 +115,10 @@ func FuzzServingTiers(f *testing.F) {
 		post(128, 80, 0), batch(0), rate(0, 20),
 		post(128, 90, 0), batch(0), rate(0, 82),
 		post(128, 80, 0), batch(1), rate(0, 204), post(128, 82, 0), batch(0)))
+	// Marked: three workers at the origin with radius 25/255 and a task at
+	// (15, 20)/255. Hypot of the offsets is exactly the radius, while
+	// their squares sum to more than its square.
+	f.Add(tierOps([]byte{0xF0}, regR(0, 0, 25), regR(0, 0, 25), regR(0, 0, 25), post(15, 20, 0), batch(0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tiers := []tier{
 			platformTier(t, b),
@@ -128,6 +136,11 @@ func FuzzServingTiers(f *testing.F) {
 			return v
 		}
 		unit := func(v byte) float64 { return float64(v) / 255 }
+		radiusOf := func(v byte) float64 { return 0.05 + 0.25*unit(v) }
+		if len(data) > 0 && data[0] >= 0xF0 {
+			data = data[1:]
+			radiusOf = unit
+		}
 		var (
 			now     float64 // rounds completed; every tier's default clock
 			workers int
@@ -165,7 +178,7 @@ func FuzzServingTiers(f *testing.F) {
 			switch next() % 4 {
 			case 0:
 				loc := geo.Pt(unit(next()), unit(next()))
-				speed, radius := 0.2*unit(next()), 0.05+0.25*unit(next())
+				speed, radius := 0.2*unit(next()), radiusOf(next())
 				if workers == maxWorkers {
 					continue
 				}
