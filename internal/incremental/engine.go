@@ -5,7 +5,10 @@
 // dispatches, and deadline decay, tracks which connected components were
 // touched since the previous round, and re-solves only those — carrying the
 // previous assignment of every clean component forward verbatim and
-// warm-starting the solvers on the dirty ones.
+// warm-starting the solvers on the dirty ones. A round costs in proportion
+// to what changed: BeginRound visits only the tasks whose schedule falls
+// due, and Plan rewrites only the instance positions and candidate lists
+// that moved.
 //
 // The contract is strict output equivalence: for deterministic solvers
 // (TPG, GT, GT+LUB — anything whose result is a pure function of the
@@ -14,12 +17,15 @@
 //
 //   - Edge exactness. An edge is stored with its travel time once (travel
 //     and the radius test depend only on static locations; the radius test
-//     is geo.InDisc, as in BuildCandidates) and the full
-//     validity predicate of Definition 3 is re-evaluated against it every
-//     round, so the active edge set equals BuildCandidates' output exactly.
-//     Slack only shrinks, so travel > slack drops an edge permanently;
-//     the time gates (task created, worker arrived) can only switch an
-//     edge on, and any flip dirties both endpoints.
+//     is geo.InDisc, as in BuildCandidates). The rest of Definition 3's
+//     predicate changes only at known times: slack only shrinks, so
+//     travel > slack drops an edge permanently from some time on, and the
+//     time gates (task created, worker arrived) can only switch an edge on.
+//     Every task sits in a due schedule keyed by the earliest of its
+//     deadline, its edges' drop times and its gated edges' gate times, and
+//     the predicate is re-checked on all its edges when it comes due, so
+//     the active edge set equals BuildCandidates' output exactly. Any flip
+//     dirties both endpoints.
 //   - Dirty completeness. Component membership can only change through an
 //     added, removed, or flipped edge, or an added/removed entity — every
 //     one of which dirties the entities involved. A component with no dirty
@@ -30,17 +36,21 @@
 //     points at its component, a dirty member or a removal drops it, and
 //     Plan rebuilds only what the dropped components and the dirty
 //     entities reach. A kept component's record and UPPER terms (q̂) stay
-//     valid for as long as it is kept.
+//     valid for as long as it is kept. The same marks bound Plan's patch:
+//     a candidate list changes only for a dirty entity, an entity whose
+//     position moved, or a neighbour of one that moved.
 //   - Order preservation. Entity order mirrors the from-scratch engine's
 //     (arrival order with order-preserving compaction, or ascending
-//     external ID under OrderByID), candidate lists are built by the same
-//     position-major passes as BuildCandidates, and carried groups replay
-//     in their original member order, keeping every position-sensitive
-//     tie-break and float summation order intact.
+//     external ID under OrderByID), candidate lists are ascending like
+//     BuildCandidates', and carried groups replay in their original member
+//     order, keeping every position-sensitive tie-break and float
+//     summation order intact.
 package incremental
 
 import (
+	"cmp"
 	"context"
+	"math"
 	"slices"
 	"sort"
 
@@ -77,7 +87,7 @@ type Config struct {
 // referenced by pointer from edges, so compaction never invalidates them.
 type workerState struct {
 	uid   int
-	pos   int // position in the current round's instance; -1 once removed
+	pos   int // index in Engine.workers; -1 once removed
 	w     model.Worker
 	back  []*taskState // tasks holding an edge to this worker
 	dirty bool
@@ -90,16 +100,20 @@ type workerState struct {
 // taskState is one live task; it owns the edge records.
 type taskState struct {
 	uid   int
-	pos   int // -1 once removed
+	pos   int // index in Engine.tasks; -1 once removed
 	t     model.Task
 	adj   []tEdge
 	dirty bool
 	comp  *component
 	seen  int
+	due   float64 // nothing about the task or its edges changes before it
+	slot  int     // index in Engine.sched; -1 while off the schedule
 }
 
 // tEdge is one candidate edge, stored on the task side. travel is computed
-// once at discovery; active caches last round's validity verdict.
+// once at discovery; active caches the verdict of the last check, which
+// after BeginRound is gatesOpen at the current time (a gate opening makes
+// the task due).
 type tEdge struct {
 	w      *workerState
 	travel float64
@@ -109,13 +123,14 @@ type tEdge struct {
 // component is one connected component of the active candidate graph. It
 // lives from the Plan that builds it until a member turns dirty or is
 // removed. Members are kept in ascending position order, which compaction
-// and the ID sort both preserve, so only part's positions need rewriting
-// from round to round.
+// and the ID order both preserve, so only part's positions need rewriting,
+// and only when a member moved.
 type component struct {
 	workers []*workerState
 	tasks   []*taskState
 	part    partition.Component
 	dead    bool // a member turned dirty or was removed
+	moved   int  // the Plan generation that last rewrote part's positions
 	// The carry record: group members as local worker indices, grouped by
 	// local task index (task li's group is rec[recEnd[li-1]:recEnd[li]]),
 	// in the order they were committed.
@@ -158,8 +173,21 @@ type Engine struct {
 	wGrid   *grid.Index
 	tGrid   *grid.Index
 
+	// maxRadius is the largest radius of a live worker, atMax the number
+	// of live workers that have it.
 	maxRadius float64
+	atMax     int
 	edgeCount int
+
+	// sched is the due schedule: a binary min-heap of the live tasks by
+	// taskState.due.
+	sched []*taskState
+
+	// lowW and lowT are the lowest worker and task positions that changed
+	// since the last Plan; entities with a uid of planUID or more were
+	// admitted since then.
+	lowW, lowT int
+	planUID    int
 
 	dirtyW []*workerState
 	dirtyT []*taskState
@@ -187,12 +215,18 @@ type Engine struct {
 	// solver.
 	arena *assign.Arena
 
+	// in is the planned instance. Its entities and candidate lists persist
+	// across rounds; Plan rewrites only what moved.
+	in    model.Instance
+	round Round
+	work  roundWork
+
 	// Per-round scratch, reused across rounds.
-	in        model.Instance
-	bufs      model.CandidateBuffers
-	round     Round
 	searchBuf []int
 	expired   []int
+	popped    []*taskState
+	tmpW      []*workerState
+	tmpT      []*taskState
 	gen       int   // Plan's visit generation
 	seeds     []int // Plan's rebuild seeds: worker pos, or ^task pos
 	stack     []int
@@ -202,6 +236,13 @@ type Engine struct {
 	next      []*component
 	qh        assign.QHat
 	qhat      []float64
+}
+
+// roundWork counts the work of the last BeginRound and Plan: the edges
+// BeginRound examined, the worker and task positions Plan rewrote, and
+// the candidate lists it rewrote.
+type roundWork struct {
+	edges, workers, tasks, lists int
 }
 
 // New returns an empty engine.
@@ -214,6 +255,8 @@ func New(cfg Config) *Engine {
 		wGrid:  grid.New(0),
 		tGrid:  grid.New(0),
 	}
+	// Non-nil even when empty: a nil WorkerCand reads as "not built".
+	e.in.WorkerCand, e.in.TaskCand = [][]int{}, [][]int{}
 	if cfg.Carry {
 		e.warm = assign.NewWarm()
 		e.liveIDs = make(map[int]int)
@@ -241,68 +284,213 @@ func (e *Engine) markTaskDirty(ts *taskState) {
 	}
 }
 
-// BeginRound advances the engine to timestamp now: tasks past their
-// deadline are expired (same predicate as the from-scratch engine: a task
-// survives only while Deadline > now), every surviving edge is re-checked
-// against the exact validity predicate. It returns the external IDs of the
-// tasks expired this round, in entity order.
+// BeginRound advances the engine to timestamp now, which must not be
+// earlier than the last round's. The tasks due by now come off the
+// schedule: those past their deadline expire (same predicate as the
+// from-scratch engine: a task survives only while Deadline > now), and the
+// others re-check the exact validity predicate on every edge and go back
+// on the schedule. No other task or edge can have changed. It returns the
+// external IDs of the tasks expired this round, in entity order.
 func (e *Engine) BeginRound(now float64) []int {
 	e.now = now
+	e.work.edges = 0
 	if e.em != nil {
 		e.em.rounds.Inc()
 	}
 
-	// Expiry sweep, order-preserving.
-	e.expired = e.expired[:0]
-	kept := e.tasks[:0]
-	for _, ts := range e.tasks {
+	e.popped = e.popped[:0]
+	first := len(e.tasks)
+	for len(e.sched) > 0 && e.sched[0].due <= now {
+		ts := e.sched[0]
+		e.unschedule(ts)
 		if ts.t.Deadline > now {
-			kept = append(kept, ts)
+			e.popped = append(e.popped, ts)
 			continue
 		}
-		e.expired = append(e.expired, ts.t.ID)
-		e.dropTask(ts)
+		first = min(first, ts.pos)
+		ts.pos = -1
 	}
-	e.tasks = kept
 
-	// Edge re-evaluation: the stored travel plus the live time terms
-	// reproduce Definition 3 exactly (the radius test is location-static
-	// and held at discovery).
-	for _, ts := range e.tasks {
-		slack := ts.t.Deadline - now
-		for k := 0; k < len(ts.adj); {
-			ed := &ts.adj[k]
-			if ed.travel > slack {
-				// Slack only shrinks: this edge can never be valid again.
-				if ed.active {
-					e.markWorkerDirty(ed.w)
-					e.markTaskDirty(ts)
-				}
-				e.unlink(ed.w, ts)
-				ts.adj[k] = ts.adj[len(ts.adj)-1]
-				ts.adj = ts.adj[:len(ts.adj)-1]
-				e.edgeCount--
-				if e.em != nil {
-					e.em.edgesDropped.Inc()
-				}
+	// Expiry sweep, order-preserving from the first expired position.
+	e.expired = e.expired[:0]
+	if first < len(e.tasks) {
+		n := first
+		for _, ts := range e.tasks[first:] {
+			if ts.pos < 0 {
+				e.expired = append(e.expired, ts.t.ID)
+				e.work.edges += len(ts.adj)
+				e.dropTask(ts)
 				continue
 			}
-			active := ts.t.Created <= now && ed.w.w.Arrive <= now
-			if active != ed.active {
-				ed.active = active
-				e.markWorkerDirty(ed.w)
-				e.markTaskDirty(ts)
-			}
-			k++
+			ts.pos = n
+			e.tasks[n] = ts
+			n++
 		}
+		clear(e.tasks[n:])
+		e.tasks = e.tasks[:n]
+		e.lowT = min(e.lowT, first)
 	}
 
+	for _, ts := range e.popped {
+		e.recheck(ts)
+	}
 	return e.expired
 }
 
-// dropTask removes ts's edges and index entries (ts itself is compacted by
-// the caller) and drops its component. Workers that were actively
-// connected become dirty.
+// recheck evaluates Definition 3 at the current time on every edge of ts,
+// which came due and has not expired, and puts ts back on the schedule.
+// The stored travel plus the live time terms reproduce the predicate
+// exactly (the radius test is location-static and held at discovery).
+func (e *Engine) recheck(ts *taskState) {
+	now := e.now
+	slack := ts.t.Deadline - now
+	ts.due = expiryAt(ts.t.Deadline)
+	for k := 0; k < len(ts.adj); {
+		e.work.edges++
+		ed := &ts.adj[k]
+		if ed.travel > slack {
+			// Slack only shrinks: this edge can never be valid again.
+			if ed.active {
+				e.markWorkerDirty(ed.w)
+				e.markTaskDirty(ts)
+			}
+			e.unlink(ed.w, ts)
+			ts.adj[k] = ts.adj[len(ts.adj)-1]
+			ts.adj = ts.adj[:len(ts.adj)-1]
+			e.edgeCount--
+			if e.em != nil {
+				e.em.edgesDropped.Inc()
+			}
+			continue
+		}
+		if active := gatesOpen(ed.w, ts, now); active != ed.active {
+			ed.active = active
+			e.markWorkerDirty(ed.w)
+			e.markTaskDirty(ts)
+		}
+		ts.due = min(ts.due, ts.edgeDue(ed))
+		k++
+	}
+	if ts.due <= now {
+		// An edge within rounding of its drop time: look again next round.
+		ts.due = math.Nextafter(now, math.Inf(1))
+	}
+	e.schedule(ts)
+}
+
+// gatesOpen reports whether the time gates of the edge (ws, ts) are open
+// at now: the task was created and the worker has arrived.
+func gatesOpen(ws *workerState, ts *taskState, now float64) bool {
+	return ts.t.Created <= now && ws.w.Arrive <= now
+}
+
+// expiryAt is the time from which a task with this deadline is expired:
+// the first now at which Deadline > now fails.
+func expiryAt(deadline float64) float64 {
+	if math.IsNaN(deadline) {
+		return math.Inf(-1)
+	}
+	return deadline
+}
+
+// edgeDue is the earliest time at which ed's validity can change: its drop
+// time, or its gate time while it is inactive.
+func (ts *taskState) edgeDue(ed *tEdge) float64 {
+	at := dropAt(ts.t.Deadline, ed.travel)
+	if !ed.active {
+		at = min(at, gateAt(ts.t.Created, ed.w.w.Arrive))
+	}
+	return at
+}
+
+// dropAt is a time no later than the first now at which
+// travel > deadline−now holds. It sits below deadline−travel by a margin
+// far wider than that difference's rounding, so no now before it has
+// deadline−now < travel, even rounded (rounding is monotone and travel is
+// a float); at or after it, the exact test decides. An edge that can never
+// drop (an infinite deadline, a NaN travel) gets +Inf.
+func dropAt(deadline, travel float64) float64 {
+	at := deadline - travel - (math.Abs(deadline)+math.Abs(travel))*0x1p-48
+	if math.IsNaN(at) {
+		return math.Inf(1)
+	}
+	return at
+}
+
+// gateAt is the first now at which Created <= now and Arrive <= now both
+// hold, or +Inf if one is NaN and so never holds.
+func gateAt(created, arrive float64) float64 {
+	at := max(created, arrive)
+	if math.IsNaN(at) {
+		return math.Inf(1)
+	}
+	return at
+}
+
+// schedule puts ts on the due schedule at ts.due.
+func (e *Engine) schedule(ts *taskState) {
+	ts.slot = len(e.sched)
+	e.sched = append(e.sched, ts)
+	e.siftUp(ts.slot)
+}
+
+// lower brings ts's due time forward to at, if that is earlier.
+func (e *Engine) lower(ts *taskState, at float64) {
+	if at < ts.due {
+		ts.due = at
+		e.siftUp(ts.slot)
+	}
+}
+
+// unschedule takes ts off the due schedule.
+func (e *Engine) unschedule(ts *taskState) {
+	i, last := ts.slot, len(e.sched)-1
+	e.swap(i, last)
+	e.sched[last] = nil
+	e.sched = e.sched[:last]
+	ts.slot = -1
+	if i < last {
+		e.siftDown(i)
+		e.siftUp(i)
+	}
+}
+
+func (e *Engine) siftUp(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !(e.sched[i].due < e.sched[p].due) {
+			return
+		}
+		e.swap(i, p)
+		i = p
+	}
+}
+
+func (e *Engine) siftDown(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(e.sched) {
+			return
+		}
+		if r := m + 1; r < len(e.sched) && e.sched[r].due < e.sched[m].due {
+			m = r
+		}
+		if !(e.sched[m].due < e.sched[i].due) {
+			return
+		}
+		e.swap(i, m)
+		i = m
+	}
+}
+
+func (e *Engine) swap(i, j int) {
+	e.sched[i], e.sched[j] = e.sched[j], e.sched[i]
+	e.sched[i].slot, e.sched[j].slot = i, j
+}
+
+// dropTask removes ts's edges, index entries and schedule slot (ts itself
+// is compacted by the caller) and drops its component. Workers that were
+// actively connected become dirty.
 func (e *Engine) dropTask(ts *taskState) {
 	for i := range ts.adj {
 		ed := &ts.adj[i]
@@ -317,6 +505,9 @@ func (e *Engine) dropTask(ts *taskState) {
 	}
 	ts.adj = nil
 	ts.pos = -1
+	if ts.slot >= 0 {
+		e.unschedule(ts)
+	}
 	e.kill(ts.comp)
 	e.tGrid.Delete(ts.t.Loc, ts.uid)
 	delete(e.tByUID, ts.uid)
@@ -333,7 +524,8 @@ func (e *Engine) dropTask(ts *taskState) {
 
 // dropWorker removes ws's edges and index entries; Commit has marked it
 // and dropped its component. Tasks that were actively connected become
-// dirty.
+// dirty. A task's due time may now be early, which costs one spare
+// recheck and nothing else.
 func (e *Engine) dropWorker(ws *workerState) {
 	for _, ts := range ws.back {
 		for k := range ts.adj {
@@ -352,6 +544,9 @@ func (e *Engine) dropWorker(ws *workerState) {
 		}
 	}
 	ws.back = nil
+	if ws.w.Radius == e.maxRadius {
+		e.atMax--
+	}
 	e.wGrid.Delete(ws.w.Loc, ws.uid)
 	delete(e.wByUID, ws.uid)
 }
@@ -367,17 +562,26 @@ func (e *Engine) unlink(ws *workerState, ts *taskState) {
 	}
 }
 
+// widen counts a live worker's radius into maxRadius and atMax.
+func (e *Engine) widen(radius float64) {
+	switch {
+	case radius > e.maxRadius:
+		e.maxRadius, e.atMax = radius, 1
+	case radius == e.maxRadius:
+		e.atMax++
+	}
+}
+
 // AddWorker admits a worker and discovers its candidate edges through the
 // task index. Call between BeginRound and Plan.
 func (e *Engine) AddWorker(w model.Worker) {
-	ws := &workerState{uid: e.nextUID, w: w}
+	ws := &workerState{uid: e.nextUID, pos: len(e.workers), w: w}
 	e.nextUID++
+	e.lowW = min(e.lowW, ws.pos)
 	e.workers = append(e.workers, ws)
 	e.wByUID[ws.uid] = ws
 	e.wGrid.Insert(w.Loc, ws.uid)
-	if w.Radius > e.maxRadius {
-		e.maxRadius = w.Radius
-	}
+	e.widen(w.Radius)
 	e.markWorkerDirty(ws)
 
 	// The grid decides the disc with geo.InDisc, as BuildCandidates does,
@@ -389,7 +593,8 @@ func (e *Engine) AddWorker(w model.Worker) {
 	}
 }
 
-// link discovers the edge (ws, ts) if it can ever be valid, and appends it.
+// link discovers the edge (ws, ts) if it can ever be valid, appends it, and
+// brings ts's due time forward to the edge's.
 func (e *Engine) link(ws *workerState, ts *taskState) {
 	slack := ts.t.Deadline - e.now
 	travel := geo.TravelTime(ws.w.Loc, ts.t.Loc, ws.w.Speed)
@@ -397,7 +602,7 @@ func (e *Engine) link(ws *workerState, ts *taskState) {
 		// Already unreachable; slack only shrinks, so never add the edge.
 		return
 	}
-	active := ts.t.Created <= e.now && ws.w.Arrive <= e.now
+	active := gatesOpen(ws, ts, e.now)
 	if active {
 		// The new endpoint is dirty already; the standing one's component
 		// grows by the edge.
@@ -406,6 +611,7 @@ func (e *Engine) link(ws *workerState, ts *taskState) {
 	}
 	ts.adj = append(ts.adj, tEdge{w: ws, travel: travel, active: active})
 	ws.back = append(ws.back, ts)
+	e.lower(ts, ts.edgeDue(&ts.adj[len(ts.adj)-1]))
 	e.edgeCount++
 	if e.em != nil {
 		e.em.edgesAdded.Inc()
@@ -413,13 +619,15 @@ func (e *Engine) link(ws *workerState, ts *taskState) {
 }
 
 // AddTask admits a task and discovers its candidate edges with a grid
-// query. Call between BeginRound and Plan.
+// query at the largest live radius. Call between BeginRound and Plan.
 func (e *Engine) AddTask(t model.Task) {
-	ts := &taskState{uid: e.nextUID, t: t}
+	ts := &taskState{uid: e.nextUID, pos: len(e.tasks), t: t, due: expiryAt(t.Deadline)}
 	e.nextUID++
+	e.lowT = min(e.lowT, ts.pos)
 	e.tasks = append(e.tasks, ts)
 	e.tByUID[ts.uid] = ts
 	e.tGrid.Insert(t.Loc, ts.uid)
+	e.schedule(ts)
 	e.markTaskDirty(ts)
 	if e.liveIDs != nil {
 		e.liveIDs[t.ID]++
@@ -439,49 +647,45 @@ func (e *Engine) AddTask(t model.Task) {
 
 // Plan assembles the round: entity ordering, the instance (Quality left
 // nil for the caller), candidate lists from the maintained adjacency, the
-// component partition, and the per-component dirty classification.
+// component partition, and the per-component dirty classification. The
+// instance and its lists persist across rounds: Plan rewrites entities
+// only from the lowest worker and task positions that changed since the
+// last Plan (the first Plan rewrites everything), and lists only where
+// patchLists finds they can differ.
 func (e *Engine) Plan() *Round {
+	lowW, lowT := e.lowW, e.lowT
 	if e.cfg.OrderByID {
-		sortByID(e.workers, e.tasks)
-	}
-	for i, ws := range e.workers {
-		ws.pos = i
-	}
-	for j, ts := range e.tasks {
-		ts.pos = j
+		var p int
+		p, e.tmpW = mergeByID(e.workers, e.tmpW, e.planUID,
+			func(ws *workerState) int { return ws.uid }, func(ws *workerState) int { return ws.w.ID })
+		lowW = min(lowW, p)
+		p, e.tmpT = mergeByID(e.tasks, e.tmpT, e.planUID,
+			func(ts *taskState) int { return ts.uid }, func(ts *taskState) int { return ts.t.ID })
+		lowT = min(lowT, p)
 	}
 
 	e.in.B = e.cfg.B
 	e.in.Now = e.now
 	e.in.Quality = nil
-	e.in.Workers = e.in.Workers[:0]
-	for _, ws := range e.workers {
+	e.in.Workers = e.in.Workers[:lowW]
+	for i, ws := range e.workers[lowW:] {
+		ws.pos = lowW + i
 		e.in.Workers = append(e.in.Workers, ws.w)
 	}
-	e.in.Tasks = e.in.Tasks[:0]
-	for _, ts := range e.tasks {
+	e.in.Tasks = e.in.Tasks[:lowT]
+	for j, ts := range e.tasks[lowT:] {
+		ts.pos = lowT + j
 		e.in.Tasks = append(e.in.Tasks, ts.t)
 	}
-
-	// Task-major fill: ascending task positions append ascending into each
-	// worker's list; DeriveTaskCand then mirrors BuildCandidates'
-	// worker-major pass. Both lists come out identical to a fresh build.
-	e.bufs.Reset(len(e.workers), len(e.tasks))
-	for j, ts := range e.tasks {
-		for i := range ts.adj {
-			if ts.adj[i].active {
-				w := ts.adj[i].w
-				e.bufs.WorkerCand[w.pos] = append(e.bufs.WorkerCand[w.pos], j)
-			}
-		}
-	}
-	e.bufs.DeriveTaskCand()
-	e.bufs.Install(&e.in)
+	e.in.WorkerCand = resizeLists(e.in.WorkerCand, len(e.workers))
+	e.in.TaskCand = resizeLists(e.in.TaskCand, len(e.tasks))
+	e.patchLists(lowW, lowT)
+	e.work.workers, e.work.tasks = len(e.workers)-lowW, len(e.tasks)-lowT
 	if e.em != nil {
 		e.em.edges.Set(float64(e.edgeCount))
 	}
 
-	e.partition()
+	e.partition(lowW, lowT)
 	comps := e.round.Comps[:0]
 	dirty := e.round.Dirty[:0]
 	for _, c := range e.comps {
@@ -490,18 +694,137 @@ func (e *Engine) Plan() *Round {
 	}
 	e.round = Round{In: &e.in, Comps: comps, Dirty: dirty}
 	e.solved = e.solved[:0]
+	e.lowW, e.lowT, e.planUID = len(e.workers), len(e.tasks), e.nextUID
 	return &e.round
+}
+
+// mergeByID restores ascending external-ID order to s, whose entities
+// admitted since the last Plan (uid >= planUID) sit in admission order
+// after the sorted rest. It sorts them and merges them in from the first
+// position they reach, and returns that position: s is unchanged below
+// it. Ties keep the standing entity first.
+func mergeByID[T any](s, tmp []T, planUID int, uid, id func(T) int) (int, []T) {
+	add := len(s)
+	for add > 0 && uid(s[add-1]) >= planUID {
+		add--
+	}
+	tail := s[add:]
+	if len(tail) == 0 {
+		return len(s), tmp
+	}
+	slices.SortStableFunc(tail, func(a, b T) int { return cmp.Compare(id(a), id(b)) })
+	first := id(tail[0])
+	p := sort.Search(add, func(i int) bool { return id(s[i]) > first })
+	// Merge tmp (the standing entities from p on) with the tail, front to
+	// back; the write index never passes the tail's read index.
+	tmp = append(tmp[:0], s[p:add]...)
+	i, j, k := 0, add, p
+	for i < len(tmp) && j < len(s) {
+		if id(s[j]) < id(tmp[i]) {
+			s[k] = s[j]
+			j++
+		} else {
+			s[k] = tmp[i]
+			i++
+		}
+		k++
+	}
+	copy(s[k:], tmp[i:])
+	clear(tmp)
+	return p, tmp[:0]
+}
+
+// resizeLists returns s with n lists, keeping the contents and capacity
+// of every list, those past n included for when s grows again.
+func resizeLists(s [][]int, n int) [][]int {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([][]int, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// patchLists rewrites every candidate list that can differ from the last
+// Plan's. A list changes only when its entity's edges changed, which marks
+// it dirty; when its entity moved, from lowW or lowT on; or when it holds
+// the position of a neighbour that moved, which the moved entity's active
+// edges reach. Every other list and every position in it is as it was.
+func (e *Engine) patchLists(lowW, lowT int) {
+	e.gen++
+	e.work.lists = 0
+	for _, ws := range e.workers[lowW:] {
+		e.listWorker(ws)
+		for _, ts := range ws.back {
+			if gatesOpen(ws, ts, e.now) {
+				e.listTask(ts)
+			}
+		}
+	}
+	for _, ts := range e.tasks[lowT:] {
+		e.listTask(ts)
+		for i := range ts.adj {
+			if ts.adj[i].active {
+				e.listWorker(ts.adj[i].w)
+			}
+		}
+	}
+	for _, ws := range e.dirtyW {
+		if ws.pos >= 0 {
+			e.listWorker(ws)
+		}
+	}
+	for _, ts := range e.dirtyT {
+		if ts.pos >= 0 {
+			e.listTask(ts)
+		}
+	}
+}
+
+// listWorker rewrites ws's candidate list, once per patch: the positions of
+// the tasks it has an active edge to, ascending as BuildCandidates lists
+// them.
+func (e *Engine) listWorker(ws *workerState) {
+	if ws.seen == e.gen {
+		return
+	}
+	ws.seen = e.gen
+	e.work.lists++
+	l := e.in.WorkerCand[ws.pos][:0]
+	for _, ts := range ws.back {
+		if gatesOpen(ws, ts, e.now) {
+			l = append(l, ts.pos)
+		}
+	}
+	slices.Sort(l)
+	e.in.WorkerCand[ws.pos] = l
+}
+
+// listTask rewrites ts's candidate list, once per patch: the positions of
+// the workers it has an active edge to, ascending.
+func (e *Engine) listTask(ts *taskState) {
+	if ts.seen == e.gen {
+		return
+	}
+	ts.seen = e.gen
+	e.work.lists++
+	l := e.in.TaskCand[ts.pos][:0]
+	for i := range ts.adj {
+		if ts.adj[i].active {
+			l = append(l, ts.adj[i].w.pos)
+		}
+	}
+	slices.Sort(l)
+	e.in.TaskCand[ts.pos] = l
 }
 
 // partition brings e.comps up to date with the planned instance, in
 // partition.Components' order. A component with no dirty member and no
-// removed one is unchanged (dirty completeness), so it is kept with its
-// member positions rewritten. Only the dirty entities and the members of
-// dropped components seed new ones, and only what they reach is walked.
-// Kept components stay in the order they had: Size is unchanged, and
-// compaction and the ID sort preserve the relative order of entities and
-// with it that of the Keys.
-func (e *Engine) partition() {
+// removed one is unchanged (dirty completeness), so it is kept, with its
+// member positions rewritten if one of them moved. Only the dirty entities
+// and the members of dropped components seed new ones, and only what they
+// reach is walked. Kept components stay in the order they had: Size is
+// unchanged, and compaction and the ID order preserve the relative order
+// of entities and with it that of the Keys.
+func (e *Engine) partition(lowW, lowT int) {
 	e.seeds = e.seeds[:0]
 	for _, ws := range e.dirtyW {
 		if ws.pos >= 0 {
@@ -515,18 +838,18 @@ func (e *Engine) partition() {
 			e.seeds = append(e.seeds, ^ts.pos)
 		}
 	}
+	e.gen++
+	for _, ws := range e.workers[lowW:] {
+		e.reposition(ws.comp)
+	}
+	for _, ts := range e.tasks[lowT:] {
+		e.reposition(ts.comp)
+	}
 	kept := e.comps[:0]
 	for _, c := range e.comps {
-		if c.dead {
-			continue
+		if !c.dead {
+			kept = append(kept, c)
 		}
-		for li, ws := range c.workers {
-			c.part.Workers[li] = ws.pos
-		}
-		for li, ts := range c.tasks {
-			c.part.Tasks[li] = ts.pos
-		}
-		kept = append(kept, c)
 	}
 	e.comps = kept
 
@@ -545,7 +868,6 @@ func (e *Engine) partition() {
 	}
 	e.killed = e.killed[:0]
 
-	e.gen++
 	e.fresh = e.fresh[:0]
 	for _, n := range e.seeds {
 		if c := e.grow(n); c != nil {
@@ -570,6 +892,21 @@ func (e *Engine) partition() {
 	next = append(next, e.comps[i:]...)
 	next = append(next, e.fresh[j:]...)
 	e.comps, e.next = next, e.comps[:0]
+}
+
+// reposition rewrites the member positions of c (nil: none), a kept
+// component with a member that moved, once per Plan.
+func (e *Engine) reposition(c *component) {
+	if c == nil || c.dead || c.moved == e.gen {
+		return
+	}
+	c.moved = e.gen
+	for li, ws := range c.workers {
+		c.part.Workers[li] = ws.pos
+	}
+	for li, ts := range c.tasks {
+		c.part.Tasks[li] = ts.pos
+	}
 }
 
 // grow walks the component of node n (a worker position, or ^ a task
@@ -808,27 +1145,46 @@ func (e *Engine) Commit(a *model.Assignment, removeWorkers, removeTasks []int) {
 	}
 	e.dirtyT = e.dirtyT[:0]
 
+	// Order-preserving compaction from the first removed position.
 	if len(removeWorkers) > 0 {
-		kept := e.workers[:0]
-		for _, ws := range e.workers {
+		first := slices.Min(removeWorkers)
+		n := first
+		for _, ws := range e.workers[first:] {
 			if ws.pos < 0 {
 				e.dropWorker(ws)
 				continue
 			}
-			kept = append(kept, ws)
+			ws.pos = n
+			e.workers[n] = ws
+			n++
 		}
-		e.workers = kept
+		clear(e.workers[n:])
+		e.workers = e.workers[:n]
+		e.lowW = min(e.lowW, first)
+		if e.atMax == 0 && e.maxRadius > 0 {
+			// The last of the widest workers left: find the largest
+			// radius again, so AddTask's query shrinks with it.
+			e.maxRadius = 0
+			for _, ws := range e.workers {
+				e.widen(ws.w.Radius)
+			}
+		}
 	}
 	if len(removeTasks) > 0 {
-		kept := e.tasks[:0]
-		for _, ts := range e.tasks {
+		first := slices.Min(removeTasks)
+		n := first
+		for _, ts := range e.tasks[first:] {
 			if ts.pos < 0 {
 				e.dropTask(ts)
 				continue
 			}
-			kept = append(kept, ts)
+			ts.pos = n
+			e.tasks[n] = ts
+			n++
 		}
-		e.tasks = kept
+		clear(e.tasks[n:])
+		e.tasks = e.tasks[:n]
+		e.lowT = min(e.lowT, first)
 	}
 
 	if e.warm != nil {
@@ -862,11 +1218,4 @@ func (e *Engine) record(c *component, a *model.Assignment) {
 		c.recEnd = append(c.recEnd, len(c.rec))
 	}
 	c.recorded = true
-}
-
-// sortByID orders both entity slices ascending by external ID (the shard
-// tier's canonical ordering; IDs are unique there).
-func sortByID(ws []*workerState, ts []*taskState) {
-	sort.Slice(ws, func(i, j int) bool { return ws[i].w.ID < ws[j].w.ID })
-	sort.Slice(ts, func(i, j int) bool { return ts[i].t.ID < ts[j].t.ID })
 }

@@ -23,8 +23,12 @@ import (
 // the three pillars of the engine contract against a from-scratch oracle
 // every round:
 //
+//  0. the planned instance holds exactly the population the script keeps
+//     on its own (arrival order with compaction, or ascending ID under
+//     OrderByID), and BeginRound expires exactly the script's tasks past
+//     their deadline, in that order,
 //  1. the maintained candidate graph equals BuildCandidates on a fresh
-//     instance of the same population,
+//     instance of the script's population,
 //  2. the engine's assignment is bitwise identical to solving that fresh
 //     instance directly (dirty-set completeness: a missed dirty component
 //     would carry a stale assignment and diverge), and
@@ -62,6 +66,16 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 	// squared distance did not.
 	f.Add(int64(2), []byte{0xE0, 4, 4, 4, 9, 4, 4, 7, 0, 4, 3, 4})
 	f.Add(int64(4), []byte{0xE1, 4, 4, 4, 9, 4, 4, 7, 0, 4, 3, 4})
+	// Early removals: the batch tier's configuration removes position 0 of
+	// 8 workers in round 3 and of 7 tasks in round 4, so Plan patches from
+	// the front of a standing population.
+	f.Add(int64(11), []byte{4, 9, 3, 8, 3, 2, 3, 5, 4, 0, 9, 5, 2, 2})
+	// The same churn under OrderByID, with Carry and without: scrambled
+	// IDs arrive below standing ones every round (task 852 below 1237 in
+	// round 1, 82 below 2941 in round 5), so the ID merge moves standing
+	// entities up.
+	f.Add(int64(13), []byte{0xF2, 4, 9, 3, 8, 3, 2, 3, 5, 4, 0, 9, 5, 2, 2})
+	f.Add(int64(14), []byte{0xF1, 4, 9, 3, 8, 3, 2, 3, 5, 4, 0, 9, 5, 2, 2})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		if len(script) == 0 {
 			t.Skip("empty script")
@@ -91,11 +105,25 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 		ctx := context.Background()
 		nextW, nextT := 0, 0
 		prevFP := map[string]string{}
+		// The script's own live population, kept in the order a fresh
+		// build would see it.
+		var liveW []model.Worker
+		var liveT []model.Task
 
 		rounds := 3 + next()%6
 		for round := 0; round < rounds; round++ {
 			now := float64(round)
-			eng.BeginRound(now)
+			var wantExp []int
+			liveT = slices.DeleteFunc(liveT, func(tk model.Task) bool {
+				if tk.Deadline > now {
+					return false
+				}
+				wantExp = append(wantExp, tk.ID)
+				return true
+			})
+			if got := eng.BeginRound(now); !slices.Equal(got, wantExp) {
+				t.Fatalf("round %d: BeginRound expired %v, want %v", round, got, wantExp)
+			}
 
 			for i, nw := 0, next()%5; i < nw && nextW < 4000; i++ {
 				w := model.Worker{
@@ -112,17 +140,24 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 					w.Speed *= 4
 				}
 				eng.AddWorker(w)
+				liveW = append(liveW, w)
 				nextW++
 			}
 			for i, nt := 0, next()%5; i < nt && nextT < 4000; i++ {
-				eng.AddTask(model.Task{
+				tk := model.Task{
 					ID:       id(nextT),
 					Loc:      loc(),
 					Capacity: B + next()%3,
 					Created:  now + float64(next()%2),
 					Deadline: now + 0.5 + float64(next()%4),
-				})
+				}
+				eng.AddTask(tk)
+				liveT = append(liveT, tk)
 				nextT++
+			}
+			if orderByID {
+				slices.SortStableFunc(liveW, func(a, b model.Worker) int { return a.ID - b.ID })
+				slices.SortStableFunc(liveT, func(a, b model.Task) int { return a.ID - b.ID })
 			}
 
 			r := eng.Plan()
@@ -133,10 +168,18 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 			}
 			in.Quality = coop.NewSubset(base, ids)
 
+			// Oracle 0: the instance holds the script's population.
+			if !slices.Equal(in.Workers, liveW) {
+				t.Fatalf("round %d: instance workers diverge from the live population\nengine %v\nscript %v", round, in.Workers, liveW)
+			}
+			if !slices.Equal(in.Tasks, liveT) {
+				t.Fatalf("round %d: instance tasks diverge from the live population\nengine %v\nscript %v", round, in.Tasks, liveT)
+			}
+
 			// Oracle 1: candidate graph equals a fresh build.
 			fresh := &model.Instance{B: B, Now: now}
-			fresh.Workers = append([]model.Worker(nil), in.Workers...)
-			fresh.Tasks = append([]model.Task(nil), in.Tasks...)
+			fresh.Workers = append([]model.Worker(nil), liveW...)
+			fresh.Tasks = append([]model.Task(nil), liveT...)
 			fresh.Quality = in.Quality
 			fresh.BuildCandidates(model.IndexRTree)
 			if err := candEqual(in.WorkerCand, fresh.WorkerCand); err != nil {
@@ -214,6 +257,8 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 			}
 			before := incremental.WarmIDs(eng)
 			eng.Commit(a, remW, remT)
+			liveW = removeAt(liveW, remW)
+			liveT = removeAt(liveT, remT)
 
 			// Oracle 4: the O(removed) prune keeps what the old prune kept.
 			if got, want := incremental.WarmIDs(eng), incremental.OraclePrunedIDs(eng, before); !slices.Equal(got, want) {
@@ -221,6 +266,19 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 			}
 		}
 	})
+}
+
+// removeAt returns xs without the ascending positions pos, in order.
+func removeAt[T any](xs []T, pos []int) []T {
+	kept := xs[:0]
+	for i, x := range xs {
+		if len(pos) > 0 && pos[0] == i {
+			pos = pos[1:]
+			continue
+		}
+		kept = append(kept, x)
+	}
+	return kept
 }
 
 // compsEqual compares components field by field, in order.

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Assignment is a set of valid worker-and-task pairs satisfying the CA-SC
@@ -159,43 +160,61 @@ func (a *Assignment) CompletedTasks(in *Instance) int {
 	return n
 }
 
+// validateMarks recycles Validate's worker marks across calls.
+var validateMarks = sync.Pool{New: func() any { return new([]uint64) }}
+
 // Validate verifies every CA-SC constraint of Definition 4 against the
 // instance: consistency of the two redundant maps, validity of every pair
 // (working area + deadline), and the capacity bound. It returns the first
-// violation found.
+// violation found. Each TaskWorkers entry must agree with WorkerTask, and a
+// mark per worker catches a second entry of the same worker; then every
+// worker WorkerTask assigns must have been marked.
 func (a *Assignment) Validate(in *Instance) error {
-	if len(a.WorkerTask) != len(in.Workers) || len(a.TaskWorkers) != len(in.Tasks) {
+	nW := len(in.Workers)
+	if len(a.WorkerTask) != nW || len(a.TaskWorkers) != len(in.Tasks) {
 		return fmt.Errorf("model: assignment shape mismatch")
 	}
-	seen := make(map[int]int) // worker -> task via TaskWorkers
+	mp := validateMarks.Get().(*[]uint64)
+	defer validateMarks.Put(mp)
+	words := (nW + 63) / 64
+	if cap(*mp) < words {
+		*mp = make([]uint64, words)
+	}
+	seen := (*mp)[:words]
+	clear(seen)
 	for t, ws := range a.TaskWorkers {
 		if len(ws) > in.Tasks[t].Capacity {
 			return fmt.Errorf("model: task %d holds %d workers, capacity %d", t, len(ws), in.Tasks[t].Capacity)
 		}
 		for _, w := range ws {
-			if prev, dup := seen[w]; dup {
-				return fmt.Errorf("model: worker %d in tasks %d and %d", w, prev, t)
+			if w < 0 || w >= nW {
+				return fmt.Errorf("model: task %d lists worker %d of %d", t, w, nW)
 			}
-			seen[w] = t
+			bit := uint64(1) << (w % 64)
+			if seen[w/64]&bit != 0 {
+				// The first entry agreed with WorkerTask[w].
+				if prev := a.WorkerTask[w]; prev != t {
+					return fmt.Errorf("model: worker %d in tasks %d and %d", w, prev, t)
+				}
+				return fmt.Errorf("model: worker %d twice in task %d", w, t)
+			}
+			switch a.WorkerTask[w] {
+			case t:
+			case Unassigned:
+				return fmt.Errorf("model: worker %d in TaskWorkers but marked unassigned", w)
+			default:
+				return fmt.Errorf("model: worker %d maps to task %d but TaskWorkers says %d", w, a.WorkerTask[w], t)
+			}
+			seen[w/64] |= bit
 			if !ValidTravel(in.Workers[w], in.Tasks[t], in.Now, in.Travel) {
 				return fmt.Errorf("model: invalid pair ⟨w%d, t%d⟩", w, t)
 			}
 		}
 	}
 	for w, t := range a.WorkerTask {
-		if t == Unassigned {
-			if _, ok := seen[w]; ok {
-				return fmt.Errorf("model: worker %d in TaskWorkers but marked unassigned", w)
-			}
-			continue
+		if t != Unassigned && seen[w/64]&(uint64(1)<<(w%64)) == 0 {
+			return fmt.Errorf("model: worker %d maps to task %d but is absent from TaskWorkers", w, t)
 		}
-		if seen[w] != t {
-			return fmt.Errorf("model: worker %d maps to task %d but TaskWorkers says %d", w, t, seen[w])
-		}
-		delete(seen, w)
-	}
-	if len(seen) != 0 {
-		return fmt.Errorf("model: %d workers present only in TaskWorkers", len(seen))
 	}
 	return nil
 }

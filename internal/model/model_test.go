@@ -399,33 +399,62 @@ func TestAssignmentAssignTwicePanics(t *testing.T) {
 	a.Assign(0, 1)
 }
 
+// TestAssignmentValidate has one case per branch of Validate: a valid
+// assignment, and each violation with the error it must produce. The cases
+// run in one sequence, so a mark left by one call would show in the next.
 func TestAssignmentValidate(t *testing.T) {
 	in := smallInstance()
 	in.BuildCandidates(IndexLinear)
-	a := NewAssignment(in)
-	a.Assign(0, 0)
-	a.Assign(1, 0)
-	if err := a.Validate(in); err != nil {
-		t.Errorf("valid assignment rejected: %v", err)
+	// Worker 0 (radius 0.4 at (0.2,0.2)) reaches task 0 but not task 1 at
+	// (0.6,0.6) (distance ~0.57); workers 1-3 reach both.
+	cases := []struct {
+		name string
+		edit func(a *Assignment)
+		want string // error substring; "" for a valid assignment
+	}{
+		{"valid", func(a *Assignment) { a.Assign(0, 0); a.Assign(1, 0); a.Assign(2, 1) }, ""},
+		{"empty", func(a *Assignment) {}, ""},
+		{"WorkerTask too short", func(a *Assignment) { a.WorkerTask = a.WorkerTask[:3] }, "shape mismatch"},
+		{"TaskWorkers too long", func(a *Assignment) { a.TaskWorkers = append(a.TaskWorkers, nil) }, "shape mismatch"},
+		{"over capacity", func(a *Assignment) { a.Assign(0, 0); a.Assign(1, 0); a.Assign(3, 0) }, "holds 3 workers, capacity 2"},
+		{"worker out of range", func(a *Assignment) { a.TaskWorkers[0] = []int{4} }, "lists worker 4 of 4"},
+		{"negative worker", func(a *Assignment) { a.TaskWorkers[1] = []int{-1} }, "lists worker -1 of 4"},
+		{"twice in one task", func(a *Assignment) {
+			a.Assign(1, 0)
+			a.TaskWorkers[0] = append(a.TaskWorkers[0], 1)
+		}, "worker 1 twice in task 0"},
+		{"in two tasks", func(a *Assignment) {
+			a.Assign(1, 0)
+			a.TaskWorkers[1] = append(a.TaskWorkers[1], 1)
+		}, "worker 1 in tasks 0 and 1"},
+		{"invalid pair", func(a *Assignment) { a.Assign(0, 1) }, "invalid pair ⟨w0, t1⟩"},
+		{"listed but unassigned", func(a *Assignment) {
+			a.Assign(1, 0)
+			a.WorkerTask[1] = Unassigned
+		}, "worker 1 in TaskWorkers but marked unassigned"},
+		{"listed under another task", func(a *Assignment) {
+			a.Assign(1, 0)
+			a.WorkerTask[1] = 1
+		}, "worker 1 maps to task 1 but TaskWorkers says 0"},
+		{"assigned but not listed", func(a *Assignment) {
+			a.Assign(2, 1)
+			a.TaskWorkers[1] = nil
+		}, "worker 2 maps to task 1 but is absent from TaskWorkers"},
+		{"assigned to a task out of range", func(a *Assignment) { a.WorkerTask[3] = 2 }, "worker 3 maps to task 2 but is absent"},
+		{"valid again", func(a *Assignment) { a.Assign(3, 0); a.Assign(1, 1) }, ""},
 	}
-	// Violate capacity by hand.
-	a.TaskWorkers[0] = append(a.TaskWorkers[0], 2, 3)
-	if err := a.Validate(in); err == nil {
-		t.Error("capacity violation not caught")
-	}
-	// Invalid pair: worker 0 (radius 0.4 at (0.2,0.2)) cannot reach task 2
-	// at (0.6,0.6) (distance ~0.57).
-	b := NewAssignment(in)
-	b.Assign(0, 1)
-	if err := b.Validate(in); err == nil {
-		t.Error("working-area violation not caught")
-	}
-	// Inconsistent redundant maps.
-	c := NewAssignment(in)
-	c.Assign(1, 0)
-	c.WorkerTask[1] = Unassigned
-	if err := c.Validate(in); err == nil {
-		t.Error("map inconsistency not caught")
+	for _, tc := range cases {
+		a := NewAssignment(in)
+		tc.edit(a)
+		err := a.Validate(in)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: valid assignment rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: not caught, want %q", tc.name, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
