@@ -33,8 +33,20 @@ const cachedMinBits = 6
 const fib = 0x9E3779B97F4A7C15
 
 // NewCached wraps base with an unbounded memo table.
-func NewCached(base Model) *Cached {
-	return &Cached{Base: base, slots: make([]cachedSlot, 1<<cachedMinBits), shift: 64 - cachedMinBits}
+func NewCached(base Model) *Cached { return NewCachedFor(base, 0) }
+
+// NewCachedFor wraps base with a memo table sized to hold pairs distinct
+// pairs, and never more than base's workers can form, without growing.
+// A memo asked for more pairs still grows as NewCached's does.
+func NewCachedFor(base Model, pairs int) *Cached {
+	if n := base.NumWorkers(); pairs > n*(n-1)/2 {
+		pairs = n * (n - 1) / 2
+	}
+	bits := uint(cachedMinBits)
+	for 4*pairs > 3<<bits {
+		bits++
+	}
+	return &Cached{Base: base, slots: make([]cachedSlot, 1<<bits), shift: 64 - bits}
 }
 
 // Quality implements Model. It assumes the base model is symmetric (all

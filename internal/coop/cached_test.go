@@ -60,6 +60,41 @@ func TestCachedMemoizes(t *testing.T) {
 	}
 }
 
+// TestCachedForHoldsPairs: a memo sized for n pairs does not grow while n
+// distinct pairs go in, and answers each with the base's bits; one sized
+// for more pairs than its workers can form holds only those; and one given
+// more pairs than it was sized for grows as NewCached's does.
+func TestCachedForHoldsPairs(t *testing.T) {
+	base := Synthetic{N: 1 << 12, Seed: 5}
+	for _, n := range []int{0, 1, 48, 49, 96, 97, 1000, 24611} {
+		c := NewCachedFor(base, n)
+		slots := len(c.slots)
+		for p := 0; p < n; p++ {
+			i, k := p%977, 977+p/977 // distinct pairs for p < 977·(4096−977)
+			if got, want := c.Quality(k, i), base.Quality(i, k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d: Quality(%d,%d) = %v, base %v", n, k, i, got, want)
+			}
+		}
+		if len(c.slots) != slots {
+			t.Fatalf("sized for %d pairs, the memo grew from %d to %d slots while they went in", n, slots, len(c.slots))
+		}
+		if n > 0 && 4*n <= 3*(slots/2) && slots > 1<<cachedMinBits {
+			t.Fatalf("sized for %d pairs, the memo took %d slots; half of them hold the pairs", n, slots)
+		}
+	}
+	if c := NewCachedFor(Synthetic{N: 10, Seed: 1}, 1<<20); len(c.slots) != 1<<cachedMinBits {
+		t.Fatalf("10 workers form 45 pairs, yet the memo took %d slots", len(c.slots))
+	}
+	c := NewCachedFor(base, 10)
+	slots := len(c.slots)
+	for p := 0; p < 4*slots; p++ {
+		c.Quality(p, p+1)
+	}
+	if len(c.slots) <= slots {
+		t.Fatalf("%d pairs went into a memo of %d slots and it did not grow", 4*slots, slots)
+	}
+}
+
 // FuzzCachedTransparent drives a pair stream through Cached over a counting
 // base: every answer must equal the base's bitwise, and the base must run
 // exactly once per distinct unordered off-diagonal pair. Each input byte

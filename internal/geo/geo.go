@@ -112,6 +112,14 @@ func InDisc(p, c Point, rad float64) bool {
 	return math.Hypot(p.X-c.X, p.Y-c.Y) <= rad
 }
 
+// DistInDisc is InDisc that also returns the distance it tested, for a
+// caller that needs both from one Hypot. InDisc spells the test out again
+// so that it stays inlinable, Hypot included, in the index loops.
+func DistInDisc(p, c Point, rad float64) (float64, bool) {
+	d := math.Hypot(p.X-c.X, p.Y-c.Y)
+	return d, d <= rad
+}
+
 // Disc is the disc of one range query, prepared to reject far points and
 // prune boxes on squared distance ahead of InDisc.
 type Disc struct {
@@ -150,7 +158,11 @@ func (d Disc) MayIntersect(r Rect) bool {
 // distance from a to b. It returns +Inf when v <= 0 and the points differ,
 // and 0 when the points coincide (even for v == 0).
 func TravelTime(a, b Point, v float64) float64 {
-	d := a.Dist(b)
+	return TravelTimeAt(a.Dist(b), v)
+}
+
+// TravelTimeAt is TravelTime over a distance d already known.
+func TravelTimeAt(d, v float64) float64 {
 	if d == 0 {
 		return 0
 	}

@@ -11,14 +11,16 @@ import (
 	"casc/internal/model"
 )
 
-// newChurn returns an engine holding perfbench's churn shape and a function
-// that runs one steady-state round on it: stuck sites one worker short of
-// B that never change, and one active site where B workers and a task
-// arrive every round and leave as a dispatched group. A round is
-// BeginRound → arrivals → Plan → Solve → UPPER → Commit.
-func newChurn(tb testing.TB, stuck int) (*incremental.Engine, func()) {
+// newChurn returns an engine holding perfbench's churn shape, a function
+// that runs one steady-state round on it, and the instance's quality
+// model, which counts the calls of every round so far. The population is
+// stuck sites one worker short of B that never change, and one active site
+// where B workers and a task arrive every round and leave as a dispatched
+// group. A round is BeginRound → arrivals → Plan → Solve → UPPER → Commit.
+func newChurn(tb testing.TB, stuck int) (*incremental.Engine, func(), *countingModel) {
 	const B, grid = 4, 23
 	base := coop.Synthetic{N: 1 << 20, Seed: 3}
+	quality := &countingModel{}
 	ctx := context.Background()
 
 	eng := incremental.New(incremental.Config{B: B, Carry: true})
@@ -58,7 +60,8 @@ func newChurn(tb testing.TB, stuck int) (*incremental.Engine, func()) {
 		for _, w := range r.In.Workers {
 			ids = append(ids, w.ID)
 		}
-		r.In.Quality = coop.NewSubset(base, ids)
+		quality.base = coop.NewSubset(base, ids)
+		r.In.Quality = quality
 		a, err := eng.Solve(ctx, solver)
 		if err != nil {
 			tb.Fatal(err)
@@ -81,14 +84,14 @@ func newChurn(tb testing.TB, stuck int) (*incremental.Engine, func()) {
 		}
 		eng.Commit(a, remW, remT)
 		now++
-	}
+	}, quality
 }
 
 // TestRoundAllocsIndependentOfCleanComponents: a steady-state churn round
 // allocates the same whatever the number of clean components.
 func TestRoundAllocsIndependentOfCleanComponents(t *testing.T) {
 	allocs := func(stuck int) float64 {
-		_, round := newChurn(t, stuck)
+		_, round, _ := newChurn(t, stuck)
 		for i := 0; i < 20; i++ {
 			round()
 		}
@@ -102,36 +105,42 @@ func TestRoundAllocsIndependentOfCleanComponents(t *testing.T) {
 }
 
 // TestRoundWorkIndependentOfCleanComponents: in a steady-state churn round
-// the edges BeginRound examines and the positions and candidate lists Plan
-// rewrites are the same whatever the number of clean components. Only the
-// active site changes, so only its entities may be touched.
+// the edges BeginRound examines, the positions and candidate lists Plan
+// rewrites, and the quality calls of the solve and UPPER are the same
+// whatever the number of clean components. Only the active site changes,
+// so only its entities may be touched.
 func TestRoundWorkIndependentOfCleanComponents(t *testing.T) {
-	work := func(stuck int) incremental.Work {
-		eng, round := newChurn(t, stuck)
+	work := func(stuck int) (incremental.Work, int) {
+		eng, round, quality := newChurn(t, stuck)
 		for i := 0; i < 20; i++ {
 			round()
 		}
-		return incremental.RoundWork(eng)
+		before := quality.calls
+		round()
+		return incremental.RoundWork(eng), quality.calls - before
 	}
-	small, large := work(50), work(500)
-	t.Logf("work per round: %+v", small)
-	if small != large {
-		t.Fatalf("a churn round's work is %+v with 50 stuck sites and %+v with 500", small, large)
+	small, smallCalls := work(50)
+	large, largeCalls := work(500)
+	t.Logf("work per round: %+v, %d quality calls", small, smallCalls)
+	if small != large || smallCalls != largeCalls {
+		t.Fatalf("a churn round's work is %+v and %d quality calls with 50 stuck sites, %+v and %d with 500",
+			small, smallCalls, large, largeCalls)
 	}
-	if small.Workers == 0 || small.Tasks == 0 {
-		t.Fatalf("Plan rewrote %+v, want the active site's arrivals", small)
+	if small.Workers == 0 || small.Tasks == 0 || smallCalls == 0 {
+		t.Fatalf("Plan rewrote %+v and the round made %d quality calls, want the active site's arrivals and its solve", small, smallCalls)
 	}
 }
 
 // BenchmarkChurnRound times one steady-state churn round with 500 stuck
-// sites and reports the round's work: edges BeginRound examined, and
-// positions and candidate lists Plan rewrote.
+// sites and reports the round's work: edges BeginRound examined,
+// positions and candidate lists Plan rewrote, and quality calls.
 func BenchmarkChurnRound(b *testing.B) {
-	eng, round := newChurn(b, 500)
+	eng, round, quality := newChurn(b, 500)
 	for i := 0; i < 20; i++ {
 		round()
 	}
 	var sum incremental.Work
+	calls := quality.calls
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,6 +152,7 @@ func BenchmarkChurnRound(b *testing.B) {
 		sum.Lists += w.Lists
 	}
 	n := float64(b.N)
+	b.ReportMetric(float64(quality.calls-calls)/n, "quality_calls/round")
 	b.ReportMetric(float64(sum.Edges)/n, "edges/round")
 	b.ReportMetric(float64(sum.Workers+sum.Tasks)/n, "positions/round")
 	b.ReportMetric(float64(sum.Lists)/n, "lists/round")

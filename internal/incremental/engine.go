@@ -214,6 +214,9 @@ type Engine struct {
 	// engine lifetime — steady-state rounds allocate nothing in the
 	// solver.
 	arena *assign.Arena
+	// block is the dense quality copy Solve hands an eligible re-solved
+	// component; one buffer serves every component and round.
+	block qualityBlock
 
 	// in is the planned instance. Its entities and candidate lists persist
 	// across rounds; Plan rewrites only what moved.
@@ -1017,7 +1020,8 @@ func (e *Engine) kill(c *component) {
 
 // Solve produces the round's assignment: clean components replay their
 // recorded groups, dirty components are re-solved on their sub-instance
-// (warm-started under Carry) and lifted back. The caller must have set
+// (warm-started under Carry, and over a dense quality block where that
+// pays) and lifted back. The caller must have set
 // Quality on the planned instance. For deterministic solvers the result is
 // bitwise identical to solver.Solve on the full instance.
 func (e *Engine) Solve(ctx context.Context, solver assign.Solver) (*model.Assignment, error) {
@@ -1034,6 +1038,10 @@ func (e *Engine) Solve(ctx context.Context, solver assign.Solver) (*model.Assign
 			continue
 		}
 		sub, idx := r.In.SubInstance(c.part.Workers, c.part.Tasks)
+		if n := len(sub.Workers); n <= blockCap && n*(n-1)/2 <= sub.CoCandidatePairs() {
+			e.block.fill(sub.Quality, n)
+			sub.Quality = &e.block
+		}
 		s := solver
 		if f, ok := solver.(assign.Forker); ok {
 			// Seed each fork from the component's identity, so seed-taking
@@ -1064,6 +1072,44 @@ func (e *Engine) Solve(ctx context.Context, solver assign.Solver) (*model.Assign
 		e.em.resolved.Add(uint64(r.Resolved))
 	}
 	return a, nil
+}
+
+// blockCap is the most workers a component may have for Solve to copy its
+// qualities into the dense block. At 512 the engine-held buffer peaks at
+// 2 MiB and a fill at 262 144 base calls; the components of a churning
+// population hold tens of workers, while a city-wide component (stream
+// data has one of over 2 000 workers) would need over 30 MiB, held for
+// the engine's lifetime, to save lookups its solve may never repeat.
+const blockCap = 512
+
+// qualityBlock is a dense n×n copy of a sub-instance's quality model:
+// q[i*n+k] holds Quality(i, k), the diagonal included, with the model's
+// exact bits, so a solve over the block is bitwise the solve over the
+// model. Solve builds it for a component only when the n² base calls of
+// the fill cannot exceed the Σ_t |TaskCand_t|(|TaskCand_t|−1) ordered
+// pairs TPG's first stage-one sweep evaluates, and n is at most blockCap;
+// each later lookup is one indexed load instead of a call through the
+// sub-instance's and the caller's remaps.
+type qualityBlock struct {
+	n int
+	q []float64
+}
+
+func (b *qualityBlock) Quality(i, k int) float64 { return b.q[i*b.n+k] }
+func (b *qualityBlock) NumWorkers() int          { return b.n }
+
+// fill copies every ordered pair of m's first n workers into the block.
+func (b *qualityBlock) fill(m model.QualityModel, n int) {
+	if cap(b.q) < n*n {
+		b.q = make([]float64, n*n)
+	}
+	b.n, b.q = n, b.q[:n*n]
+	for i := 0; i < n; i++ {
+		row := b.q[i*n : (i+1)*n]
+		for k := range row {
+			row[k] = m.Quality(i, k)
+		}
+	}
 }
 
 // replay applies a clean component's recorded groups onto a, in the exact

@@ -5,6 +5,10 @@ import (
 	"sort"
 )
 
+// BlockCap is the most workers a component may have for Solve to give it
+// a dense quality block.
+const BlockCap = blockCap
+
 // Work is the work of an engine's last BeginRound and Plan.
 type Work struct {
 	// Edges counts the edges BeginRound examined.

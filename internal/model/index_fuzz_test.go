@@ -13,8 +13,9 @@ import (
 // FuzzIndexAgreement checks the working-area disc test on its own and
 // through the three indexes of BuildCandidates.
 //
-// The raw floats (p, c, rad) may take any magnitude: geo.InDisc must
-// decide as rad >= 0 && Hypot(p-c) <= rad does, and geo.Disc's
+// The raw floats (p, c, rad) may take any magnitude: geo.InDisc and
+// geo.DistInDisc must decide as rad >= 0 && Hypot(p-c) <= rad does, the
+// latter returning that Hypot, and geo.Disc's
 // squared-distance tests must keep what it keeps: Near the point, and
 // MayIntersect every box that holds it, among them boxes reaching one ulp
 // from p towards c.
@@ -47,6 +48,9 @@ func FuzzIndexAgreement(f *testing.F) {
 		want := rad >= 0 && math.Hypot(px-cx, py-cy) <= rad
 		if geo.InDisc(p, c, rad) != want {
 			t.Fatalf("InDisc(%v, %v, %v) = %v, Hypot says %v", p, c, rad, !want, want)
+		}
+		if d, in := geo.DistInDisc(p, c, rad); in != want || math.Float64bits(d) != math.Float64bits(math.Hypot(px-cx, py-cy)) {
+			t.Fatalf("DistInDisc(%v, %v, %v) = %v, %v; Hypot says %v, %v", p, c, rad, d, in, math.Hypot(px-cx, py-cy), want)
 		}
 		d := geo.NewDisc(c, rad)
 		if want && !d.Near(p) {

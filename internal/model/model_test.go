@@ -47,6 +47,74 @@ func TestValidZeroSpeedWorker(t *testing.T) {
 	}
 }
 
+// TestValidTravelOneHypot checks ValidTravel, which takes one Hypot for
+// both the disc test and the travel time, against the former form that
+// took three: InDisc's, InDisc's again and TravelTime's Dist, the last
+// from w to t. Tasks sit at 3-4-5 offsets of u from the worker and on it
+// (d == 0); the radius and the deadline sit on, one ulp inside and one ulp
+// outside their boundaries, and the speed is positive, zero or negative.
+func TestValidTravelOneHypot(t *testing.T) {
+	former := func(w Worker, tk Task, now float64) bool {
+		if tk.Created > now || w.Arrive > now {
+			return false
+		}
+		slack := tk.Deadline - now
+		if slack < 0 {
+			return false
+		}
+		// The index's InDisc and ValidTravel's were the same expression.
+		if !(math.Hypot(tk.Loc.X-w.Loc.X, tk.Loc.Y-w.Loc.Y) <= w.Radius) {
+			return false
+		}
+		d := math.Hypot(w.Loc.X-tk.Loc.X, w.Loc.Y-tk.Loc.Y)
+		travel := 0.0
+		if d != 0 {
+			travel = math.Inf(1)
+			if w.Speed > 0 {
+				travel = d / w.Speed
+			}
+		}
+		return travel <= slack
+	}
+	around := func(x float64) []float64 {
+		return []float64{math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1))}
+	}
+	offsets := [][2]float64{{3, 4}, {-4, 3}, {5, 0}, {0, -5}, {0, 0}}
+	var admitted, rejected int
+	for _, c := range []geo.Point{geo.Pt(0.1, 0.1), geo.Pt(1.0/3, 0.7), geo.Pt(0.5, 0.25)} {
+		for _, u := range []float64{0.1, 1.0 / 255, 0.03} {
+			for _, o := range offsets {
+				loc := geo.Pt(c.X+o[0]*u, c.Y+o[1]*u)
+				d := math.Hypot(c.X-loc.X, c.Y-loc.Y)
+				for _, speed := range []float64{1, 0.37, 0, -1} {
+					for _, rad := range around(5 * u) {
+						w := Worker{Loc: c, Speed: speed, Radius: rad}
+						deadlines := []float64{1}
+						if speed > 0 {
+							deadlines = around(d / speed)
+						}
+						for _, dl := range deadlines {
+							tk := Task{Loc: loc, Deadline: dl}
+							got, want := ValidTravel(w, tk, 0, nil), former(w, tk, 0)
+							if got != want {
+								t.Fatalf("ValidTravel(%v, %v) = %v, the three-Hypot form says %v", w, tk, got, want)
+							}
+							if got {
+								admitted++
+							} else {
+								rejected++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if admitted == 0 || rejected == 0 {
+		t.Fatalf("admitted %d and rejected %d pairs; the cases must reach both verdicts", admitted, rejected)
+	}
+}
+
 func TestValidWorkerNotYetArrived(t *testing.T) {
 	w := Worker{Loc: geo.Pt(0, 0), Speed: 1, Radius: 1, Arrive: 5}
 	task := Task{Loc: geo.Pt(0.1, 0), Deadline: 10}

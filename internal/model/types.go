@@ -97,11 +97,14 @@ func ValidTravel(w Worker, t Task, now float64, travel TravelFunc) bool {
 	if slack < 0 {
 		return false
 	}
-	if !geo.InDisc(t.Loc, w.Loc, w.Radius) {
+	// One Hypot serves the disc test and the travel time: it is symmetric
+	// to the bit, so it is the distance both geo.TravelTime and InDisc take.
+	d, in := geo.DistInDisc(t.Loc, w.Loc, w.Radius)
+	if !in {
 		return false
 	}
 	if travel == nil {
-		return geo.TravelTime(w.Loc, t.Loc, w.Speed) <= slack
+		return geo.TravelTimeAt(d, w.Speed) <= slack
 	}
 	return travel(w, t) <= slack
 }
@@ -171,6 +174,19 @@ func (in *Instance) NumValidPairs() int {
 	n := 0
 	for _, c := range in.WorkerCand {
 		n += len(c)
+	}
+	return n
+}
+
+// CoCandidatePairs returns Σ_t |TaskCand_t|(|TaskCand_t|−1)/2 (after
+// BuildCandidates): the worker pairs that share a task, counted once per
+// task they share. Every pair a solver or UPPER evaluates shares a task,
+// so it bounds the distinct pairs they can ask for, and twice it is what
+// TPG's first stage-one sweep evaluates.
+func (in *Instance) CoCandidatePairs() int {
+	n := 0
+	for _, c := range in.TaskCand {
+		n += len(c) * (len(c) - 1) / 2
 	}
 	return n
 }

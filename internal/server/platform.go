@@ -241,8 +241,8 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 	for i, w := range workers {
 		ids[i] = w.ID
 	}
-	in.Quality = coop.NewCached(coop.NewSubset(p.history, ids))
 	in.BuildCandidates(model.IndexRTree)
+	in.Quality = coop.NewCachedFor(coop.NewSubset(p.history, ids), in.CoCandidatePairs())
 	a, exhausted, err := solve(ctx, in)
 	if err != nil {
 		return nil, err

@@ -432,7 +432,7 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 			subs[s].Lift(results[s], a)
 		}
 	}
-	in.Quality = coop.NewCached(in.Quality) // single-threaded from here on
+	in.Quality = coop.NewCachedFor(in.Quality, in.CoCandidatePairs()) // single-threaded from here on
 	res.Upper = assign.Upper(in)
 
 	// Tasks and groups come in ascending ID order, so the pairs are sorted
@@ -589,7 +589,7 @@ func (c *Cluster) componentCells(in *model.Instance, comp partition.Component) (
 func (c *Cluster) solveShard(ctx context.Context, sh *Shard, solverName string, seed int64, in *model.Instance, workers, tasks []int) (*model.Assignment, *model.SubIndex, bool, error) {
 	t0 := now()
 	sub, idx := in.SubInstance(workers, tasks)
-	sub.Quality = coop.NewCached(sub.Quality)
+	sub.Quality = coop.NewCachedFor(sub.Quality, sub.CoCandidatePairs())
 	solve, err := server.NewSolver(solverName, assign.ComponentSeed(seed, sh.id), seed, c.solveBudget, sh.chaos, c.metrics)
 	if err != nil {
 		return nil, nil, false, err
