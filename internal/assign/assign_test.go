@@ -214,7 +214,7 @@ func TestExactPotentialPropertyTheoremV1(t *testing.T) {
 			if g.groups[tsk].Len() >= g.groups[tsk].Capacity() {
 				continue // crowding moves are not exact-potential; skip
 			}
-			gain, evict := g.moveGain(w, tsk, g.leaveLoss(w))
+			gain, evict := g.moveGain(w, tsk, g.in.CandPos(w, si), g.leaveLoss(w))
 			if evict >= 0 {
 				continue
 			}

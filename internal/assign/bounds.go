@@ -30,12 +30,16 @@ func Bounds(in *model.Instance) []WorkerBounds {
 	walk := newPeerWalk(in)
 	hiK, loK := newTopK(), newTopK()
 	for w := 0; w < nW; w++ {
-		peers := walk.of(w)
-		if len(peers) < B-1 {
+		peers, vals := walk.of(w)
+		if len(peers)+len(vals) < B-1 {
 			continue
 		}
 		hiK.reset(B-1, true)
 		loK.reset(B-1, false)
+		for _, q := range vals {
+			hiK.push(q)
+			loK.push(q)
+		}
 		for _, k := range peers {
 			q := in.Quality.Quality(w, k)
 			hiK.push(q)

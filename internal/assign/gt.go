@@ -300,20 +300,21 @@ func (g *cascGame) leaveLoss(w int) float64 {
 }
 
 // moveGain returns the potential (= total cooperation score) change of
-// moving worker w, whose leaveLoss is given, to task t, together with the
-// member that must be evicted when t is full (-1 when none). For
+// moving worker w, whose leaveLoss is given, to task t, where w sits at
+// position p of TaskCand[t], together with the member that must be
+// evicted when t is full (-1 when none). For
 // non-crowding moves the potential change equals the utility change of
 // Equation 5 because the game is an exact potential game (Theorem V.1);
 // for crowding moves we use the potential change directly, which keeps the
 // dynamics monotone and convergent (DESIGN.md §4.3).
-func (g *cascGame) moveGain(w, t int, leaveLoss float64) (gain float64, evict int) {
+func (g *cascGame) moveGain(w, t, p int, leaveLoss float64) (gain float64, evict int) {
 	grp := g.groups[t]
 	if grp.Len() < grp.Capacity() {
-		return grp.JoinDelta(w) - leaveLoss, -1
+		return grp.JoinDeltaAt(w, p) - leaveLoss, -1
 	}
 	// Full task: joining must crowd out the member whose replacement by w
 	// yields the best resulting quality (Theorems V.3/V.4 semantics).
-	bestDelta, bestOut := grp.BestSwap(w)
+	bestDelta, bestOut := grp.BestSwapAt(w, p)
 	return bestDelta - leaveLoss, bestOut
 }
 
@@ -373,7 +374,7 @@ func (g *cascGame) bestResponse(w int) (int, float64, bool) {
 		if t == g.cur[w] {
 			continue
 		}
-		gain, _ := g.moveGain(w, t, leaveLoss)
+		gain, _ := g.moveGain(w, t, g.in.CandPos(w, si), leaveLoss)
 		if gain > bestGain {
 			bestS, bestGain = si, gain
 		}
@@ -408,13 +409,13 @@ func (g *cascGame) Apply(w, strategy int) []int {
 		}
 		return g.affected
 	}
-	t := cand[strategy]
+	t, p := cand[strategy], g.in.CandPos(w, strategy)
 	grp := g.groups[t]
 	if grp.Len() >= grp.Capacity() {
 		// Crowd out the best-replacement member (recomputed here; the group
 		// may have changed since BestResponse ran under eager dynamics, but
 		// within one engine step it has not).
-		_, out := grp.BestSwap(w)
+		_, out := grp.BestSwapAt(w, p)
 		if out >= 0 {
 			grp.Leave(out)
 			g.touch(t)
@@ -423,7 +424,7 @@ func (g *cascGame) Apply(w, strategy int) []int {
 		}
 	}
 	leave()
-	grp.Join(w)
+	grp.JoinAt(w, p)
 	g.touch(t)
 	g.cur[w] = t
 	g.affected = append(g.affected, g.in.TaskCand[t]...)

@@ -55,21 +55,26 @@ func (q *QHat) Of(w int) float64 {
 	if q.in.B < 2 {
 		return 0
 	}
-	return qhatOf(q.in, w, q.walk.of(w), &q.top)
+	peers, vals := q.walk.of(w)
+	return qhatOf(q.in, w, peers, vals, &q.top)
 }
 
 // Bound combines every worker's q̂, indexed by position, into Equation 9.
 func (q *QHat) Bound(qhat []float64) float64 { return bound(q.in, qhat, &q.top) }
 
-// qhatOf is q̂_{i,B} of worker w (B ≥ 2) given its co-candidates: the mean
-// of its B−1 highest qualities over them, or 0 when it has fewer than B−1
-// (it cannot be in any feasible group).
-func qhatOf(in *model.Instance, w int, peers []int, top *topK) float64 {
+// qhatOf is q̂_{i,B} of worker w (B ≥ 2) given its co-candidates, as
+// peerWalk.of returns them: the mean of its B−1 highest qualities over
+// them, or 0 when it has fewer than B−1 (it cannot be in any feasible
+// group).
+func qhatOf(in *model.Instance, w int, peers []int, vals []float64, top *topK) float64 {
 	B := in.B
-	if len(peers) < B-1 {
+	if len(peers)+len(vals) < B-1 {
 		return 0
 	}
 	top.reset(B-1, true)
+	for _, q := range vals {
+		top.push(q)
+	}
 	for _, k := range peers {
 		top.push(in.Quality.Quality(w, k))
 	}

@@ -382,7 +382,7 @@ func (s *scratchStage) AddTask(t model.Task)     { s.tasks = append(s.tasks, t) 
 // observer read them after Commit.
 func (s *scratchStage) Plan() *incremental.Round {
 	in := &model.Instance{B: s.b, Now: s.now, Workers: s.workers, Tasks: s.tasks}
-	in.BuildCandidates(model.IndexRTree)
+	in.BuildCandidates(model.IndexGrid)
 	s.round = incremental.Round{In: in}
 	return &s.round
 }

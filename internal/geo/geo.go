@@ -154,14 +154,10 @@ func (d Disc) MayIntersect(r Rect) bool {
 	return !(dx*dx+dy*dy > d.far2)
 }
 
-// TravelTime returns the time a worker moving at speed v takes to cover the
-// distance from a to b. It returns +Inf when v <= 0 and the points differ,
-// and 0 when the points coincide (even for v == 0).
-func TravelTime(a, b Point, v float64) float64 {
-	return TravelTimeAt(a.Dist(b), v)
-}
-
-// TravelTimeAt is TravelTime over a distance d already known.
+// TravelTimeAt returns the time a worker moving at speed v takes to cover
+// the distance d, which the caller measured (one Hypot usually serves the
+// disc test too). It returns +Inf when v <= 0 and d > 0, and 0 when d is 0
+// (even for v == 0).
 func TravelTimeAt(d, v float64) float64 {
 	if d == 0 {
 		return 0

@@ -155,14 +155,14 @@ func TestDiscPruneNonMonotoneHypot(t *testing.T) {
 }
 
 func TestTravelTime(t *testing.T) {
-	if got := TravelTime(Pt(0, 0), Pt(0, 1), 0.5); math.Abs(got-2) > 1e-12 {
-		t.Errorf("TravelTime = %v, want 2", got)
+	if got := TravelTimeAt(Pt(0, 0).Dist(Pt(0, 1)), 0.5); math.Abs(got-2) > 1e-12 {
+		t.Errorf("TravelTimeAt = %v, want 2", got)
 	}
-	if got := TravelTime(Pt(0, 0), Pt(0, 1), 0); !math.IsInf(got, 1) {
-		t.Errorf("TravelTime with zero speed = %v, want +Inf", got)
+	if got := TravelTimeAt(Pt(0, 0).Dist(Pt(0, 1)), 0); !math.IsInf(got, 1) {
+		t.Errorf("TravelTimeAt with zero speed = %v, want +Inf", got)
 	}
-	if got := TravelTime(Pt(0.2, 0.2), Pt(0.2, 0.2), 0); got != 0 {
-		t.Errorf("TravelTime between identical points = %v, want 0", got)
+	if got := TravelTimeAt(Pt(0.2, 0.2).Dist(Pt(0.2, 0.2)), 0); got != 0 {
+		t.Errorf("TravelTimeAt between identical points = %v, want 0", got)
 	}
 }
 

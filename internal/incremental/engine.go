@@ -588,19 +588,21 @@ func (e *Engine) AddWorker(w model.Worker) {
 	e.markWorkerDirty(ws)
 
 	// The grid decides the disc with geo.InDisc, as BuildCandidates does,
-	// so only the travel and time terms remain to evaluate.
+	// so only the travel and time terms remain to evaluate. The grid does
+	// not hand its distances over, so the travel takes a second Hypot.
 	e.searchBuf = e.tGrid.SearchCircle(w.Loc, w.Radius, e.searchBuf[:0])
 	for _, uid := range e.searchBuf {
 		ts := e.tByUID[uid]
-		e.link(ws, ts)
+		e.link(ws, ts, w.Loc.Dist(ts.t.Loc))
 	}
 }
 
-// link discovers the edge (ws, ts) if it can ever be valid, appends it, and
-// brings ts's due time forward to the edge's.
-func (e *Engine) link(ws *workerState, ts *taskState) {
+// link discovers the edge (ws, ts), whose endpoints lie d apart, if it can
+// ever be valid, appends it, and brings ts's due time forward to the
+// edge's. Hypot is symmetric to the bit, so d may be measured either way.
+func (e *Engine) link(ws *workerState, ts *taskState, d float64) {
 	slack := ts.t.Deadline - e.now
-	travel := geo.TravelTime(ws.w.Loc, ts.t.Loc, ws.w.Speed)
+	travel := geo.TravelTimeAt(d, ws.w.Speed)
 	if travel > slack {
 		// Already unreachable; slack only shrinks, so never add the edge.
 		return
@@ -640,11 +642,13 @@ func (e *Engine) AddTask(t model.Task) {
 	for _, uid := range e.searchBuf {
 		ws := e.wByUID[uid]
 		// The query ran at maxRadius, so it returns every worker whose
-		// own disc holds the task, and some more; InDisc keeps the former.
-		if !geo.InDisc(t.Loc, ws.w.Loc, ws.w.Radius) {
+		// own disc holds the task, and some more; the disc test keeps the
+		// former, and its distance gives the travel.
+		d, in := geo.DistInDisc(t.Loc, ws.w.Loc, ws.w.Radius)
+		if !in {
 			continue
 		}
-		e.link(ws, ts)
+		e.link(ws, ts, d)
 	}
 }
 

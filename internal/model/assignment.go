@@ -140,11 +140,11 @@ func (a *Assignment) Clone() *Assignment {
 
 // TotalScore computes the overall cooperation quality revenue Q(T) of
 // Equation 3: Σ_j Q(W_j), with Q(W_j) = 0 for tasks holding fewer than B
-// workers.
+// workers. It reads the task blocks when in carries them.
 func (a *Assignment) TotalScore(in *Instance) float64 {
 	var total float64
 	for t, ws := range a.TaskWorkers {
-		total += in.GroupQuality(ws, in.Tasks[t].Capacity)
+		total += in.taskQuality(t, ws)
 	}
 	return total
 }

@@ -112,7 +112,7 @@ func requireUncachedBits(t *testing.T, g *GroupScore, step int) {
 	t.Helper()
 	n := g.in.Quality.NumWorkers()
 	for _, w := range g.members {
-		want := g.Q() - g.qOf(len(g.members)-1, g.pairSum-g.crossSum(w))
+		want := g.Q() - g.qOf(len(g.members)-1, g.pairSum-g.crossSum(w, g.posOf(w)))
 		if got := g.LeaveDelta(w); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("step %d: LeaveDelta(%d) = %v, uncached %v (members %v)", step, w, got, want, g.members)
 		}
@@ -123,7 +123,7 @@ func requireUncachedBits(t *testing.T, g *GroupScore, step int) {
 		}
 		wantDelta, wantOut := 0.0, -1
 		for _, out := range g.members {
-			sum := g.pairSum - g.crossSum(out)
+			sum := g.pairSum - g.crossSum(out, g.posOf(out))
 			var cs float64
 			for _, m := range g.members {
 				if m != out && m != in {

@@ -234,7 +234,7 @@ func (nw *Network) Distance(a, b geo.Point) float64 {
 // distances from the worker's nearest intersection, so candidate
 // construction costs one Dijkstra per worker instead of one per pair.
 // Travel time = road distance / worker speed (with the same zero-speed
-// semantics as geo.TravelTime).
+// semantics as geo.TravelTimeAt).
 func (nw *Network) Travel(workers []model.Worker, tasks []model.Task) model.TravelFunc {
 	type cache struct {
 		node int

@@ -91,7 +91,11 @@ func (t *RStar) SearchCircle(c geo.Point, rad float64, dst []int) []int {
 		return dst
 	}
 	d := geo.NewDisc(c, rad)
-	stack := []int32{t.root}
+	// A depth-first stack holds at most height·(M−1)+1 nodes; the array
+	// covers that for the default fan-out up to height 8, so a query
+	// allocates nothing. A deeper or wider tree grows the stack on the heap.
+	var buf [8*(DefaultMaxEntries-1) + 1]int32
+	stack := append(buf[:0], t.root)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

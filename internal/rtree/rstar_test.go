@@ -74,6 +74,34 @@ func TestRStarBulkVsLinear(t *testing.T) {
 	}
 }
 
+// TestRStarSearchCircleAllocs pins a query at zero allocations: the
+// traversal stack starts in a fixed array, and dst has room for the hits.
+// A multi-level tree makes every query descend past the root.
+func TestRStarSearchCircleAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	items := make([]Item, 2000)
+	for i := range items {
+		items[i] = Item{Loc: geo.Pt(r.Float64(), r.Float64()), ID: i}
+	}
+	tr := BulkRStar(items, 0)
+	if tr.height < 3 {
+		t.Fatalf("height %d, want a tree of three levels or more", tr.height)
+	}
+	dst := make([]int, 0, len(items))
+	var hits int
+	allocs := testing.AllocsPerRun(100, func() {
+		c := geo.Pt(r.Float64(), r.Float64())
+		dst = tr.SearchCircle(c, 0.1, dst[:0])
+		hits += len(dst)
+	})
+	if allocs != 0 {
+		t.Fatalf("SearchCircle made %v allocations per query, want 0", allocs)
+	}
+	if hits == 0 {
+		t.Fatal("no query found a point")
+	}
+}
+
 // TestRStarNonMonotoneHypot builds a two-leaf tree whose first leaf's box
 // starts one ulp left of an item at distance exactly rad from the query
 // centre. Hypot of the box's offset exceeds Hypot of the item's (Hypot is

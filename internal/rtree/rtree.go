@@ -1,7 +1,8 @@
-// Package rtree implements RStar, the in-memory spatial index of
-// BuildCandidates: a static R-tree packed by Sort-Tile-Recursive (STR)
-// bulk loading into a flat-slice node arena, answering circular range
-// queries (worker working areas).
+// Package rtree implements RStar, the paper's spatial index for
+// BuildCandidates (model.IndexRTree; the round paths query a grid): a
+// static R-tree packed by Sort-Tile-Recursive (STR) bulk loading into a
+// flat-slice node arena, answering circular range queries (worker working
+// areas).
 //
 // The batch-based framework of the paper (§III, Algorithm 1 lines 4-5)
 // retrieves the valid tasks of each worker with "a range query with a range

@@ -515,7 +515,7 @@ func (c *Cluster) snapshotRound(nowT float64, res *BatchResult) (*model.Instance
 	in := &model.Instance{B: c.b, Now: nowT}
 	in.Workers = workers
 	in.Tasks = tasks
-	in.BuildCandidates(model.IndexRTree)
+	in.BuildCandidates(model.IndexGrid)
 	return in, partition.Components(in), workerHome, taskHome
 }
 
