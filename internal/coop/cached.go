@@ -1,11 +1,12 @@
 package coop
 
 // Cached memoizes a quality model. Models like Jaccard recompute a list
-// merge on every call, History takes a lock and a map probe, and the
-// solvers evaluate the same pairs many times (TPG's best-B-subset search,
-// GT's best responses), so a per-instance memo pays for itself quickly: a
-// serve-http batch (perfbench, 2 000 workers) makes ≈ 180 k quality calls
-// over ≈ 20 k distinct pairs, so about 11 % of calls reach the base model.
+// merge on every call, History takes a lock, a row lookup and a binary
+// search, and the solvers evaluate the same pairs many times (TPG's
+// best-B-subset search, GT's best responses), so a per-instance memo pays
+// for itself quickly. On the serving tiers most reads go to per-task
+// blocks instead (model.Instance.FillBlocks), which bypass the memo: the
+// memo serves the tasks that have no block and the budgeted solves.
 // Cached is NOT safe for concurrent use; solvers are single-goroutine per
 // instance.
 //
@@ -100,6 +101,17 @@ func (c *Cached) grow() {
 		}
 		c.slots[h] = s
 	}
+}
+
+// QualityBlock implements model.BlockModel. It bypasses the memo: it hands
+// the block to the base model's QualityBlock when the base has one, and
+// reads it through the memo pair by pair otherwise.
+func (c *Cached) QualityBlock(ids []int, dst []float64) {
+	if b, ok := c.Base.(blockReader); ok {
+		b.QualityBlock(ids, dst)
+		return
+	}
+	readPairs(c, ids, dst)
 }
 
 // NumWorkers implements Model.

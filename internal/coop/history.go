@@ -3,7 +3,7 @@ package coop
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -15,12 +15,26 @@ import (
 // Pairs with no shared history fall back to the prior: q = α·ω + (1−α)·ω,
 // i.e. ω (the paper's "priori assumption ... the average cooperation quality
 // between any two workers, such as ω"). History is safe for concurrent use.
+//
+// Each worker's rated partners form one row sorted by partner ID, and each
+// unordered pair lives once, in the row of its smaller ID. The rows are
+// keyed by worker in a map, so a record naming a worker near 1<<32 costs
+// no more than one naming worker 1. QualityBlock reads a whole task's
+// pairs by merging rows with the task's ascending candidate list.
 type History struct {
 	mu    sync.RWMutex
 	n     int
 	alpha float64
 	omega float64
-	recs  map[uint64]pairRec
+	rows  map[uint32]row
+}
+
+// row is one worker's rated partners above it, ascending: rec[j] holds
+// the accumulated ratings of the worker and partner k[j]. The IDs sit
+// apart from the records, so a search or a merge reads 4 bytes a step.
+type row struct {
+	k   []uint32
+	rec []pairRec
 }
 
 // pairRec is one unordered pair's accumulated ratings.
@@ -29,8 +43,8 @@ type pairRec struct {
 	count int
 }
 
-// maxWorker bounds the worker indices a history records: keyOf packs both
-// indices of a pair into one uint64, so each must fit in 32 bits.
+// maxWorker bounds the worker indices a history records: rows and keyOf
+// hold each index in 32 bits.
 const maxWorker = 1<<32 - 1
 
 // keyOf packs the unordered pair {i, k} as lo<<32 | hi, the same key
@@ -70,30 +84,114 @@ func NewHistory(n int, alpha, omega float64) *History {
 		n:     n,
 		alpha: alpha,
 		omega: omega,
-		recs:  make(map[uint64]pairRec),
+		rows:  make(map[uint32]row),
 	}
 }
 
 // Record registers that workers i and k both contributed to a task rated
 // score ∈ [0,1]. It panics on a self pair, a negative or over-32-bit
-// worker index, and a rating that is NaN or outside [0,1].
+// worker index, and a rating that is NaN or outside [0,1]. A pair's first
+// record is inserted into its row, moving the partners above it: O(log r)
+// to find the pair and O(r) to insert it, for a row of r partners.
 func (h *History) Record(i, k int, score float64) {
 	checkRecord(i, k, score)
-	key := keyOf(i, k)
 	h.mu.Lock()
-	r := h.recs[key]
-	r.sum += score
-	r.count++
-	h.recs[key] = r
+	h.add(i, k, score, 1)
 	h.mu.Unlock()
 }
 
+// add accumulates sum and count onto the pair {i, k}, inserting its record
+// into the smaller ID's row when it has none. The caller holds the lock.
+func (h *History) add(i, k int, sum float64, count int) {
+	if i > k {
+		i, k = k, i
+	}
+	r := h.rows[uint32(i)]
+	if _, grew := r.add(0, uint32(k), sum, count); grew {
+		h.rows[uint32(i)] = r
+	}
+}
+
+// add accumulates sum and count onto partner k, which is at position from
+// or above it, inserting k there when the row lacks it. It returns k's
+// position and whether the row grew; a row that grew must be stored back.
+func (r *row) add(from int, k uint32, sum float64, count int) (j int, grew bool) {
+	d, ok := search(r.k[from:], k)
+	j = from + d
+	if !ok {
+		r.k = slices.Insert(r.k, j, k)
+		r.rec = slices.Insert(r.rec, j, pairRec{})
+	}
+	r.rec[j].sum += sum
+	r.rec[j].count += count
+	return j, !ok
+}
+
+// search returns the position of k in the ascending ks, or where it would
+// be inserted, and whether it is there.
+func search(ks []uint32, k uint32) (int, bool) {
+	lo, hi := 0, len(ks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ks[m] < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(ks) && ks[lo] == k
+}
+
+// find returns the record of the pair {i, k}, the zero record when it has
+// none. The caller holds the lock.
+func (h *History) find(i, k int) pairRec {
+	if i > k {
+		i, k = k, i
+	}
+	r := h.rows[uint32(i)]
+	if j, ok := search(r.k, uint32(k)); ok {
+		return r.rec[j]
+	}
+	return pairRec{}
+}
+
+// estimate evaluates Equation 1 over one pair's record; the zero record
+// gives the prior.
+func (h *History) estimate(r pairRec) float64 {
+	hist := h.omega // prior when no shared history
+	if r.count > 0 {
+		hist = r.sum / float64(r.count)
+	}
+	return h.alpha*h.omega + (1-h.alpha)*hist
+}
+
 // RecordGroup registers a rated task completed by a whole worker group:
-// every unordered pair in the group receives the rating.
+// every unordered pair in the group receives the rating, under one lock.
+// It panics as Record does, before recording any pair. Each pair is
+// rated once, so the order it visits them in leaves every sum's bits as
+// Record's would: it walks the group in ascending ID order, so each row
+// is looked up once and searched past its previous partner only.
 func (h *History) RecordGroup(workers []int, score float64) {
-	for a := 0; a < len(workers); a++ {
-		for b := a + 1; b < len(workers); b++ {
-			h.Record(workers[a], workers[b], score)
+	var buf [8]int
+	ws := append(buf[:0], workers...)
+	slices.Sort(ws)
+	for a := range ws {
+		for b := a + 1; b < len(ws); b++ {
+			checkRecord(ws[a], ws[b], score)
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for a, i := range ws[:max(len(ws)-1, 0)] {
+		r, j, grew := h.rows[uint32(i)], 0, false
+		for _, k := range ws[a+1:] {
+			var g bool
+			j, g = r.add(j, uint32(k), score, 1)
+			j++
+			grew = grew || g
+		}
+		if grew {
+			h.rows[uint32(i)] = r
 		}
 	}
 }
@@ -103,7 +201,7 @@ func (h *History) RecordGroup(workers []int, score float64) {
 func (h *History) SharedTasks(i, k int) int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.recs[keyOf(i, k)].count
+	return h.find(i, k).count
 }
 
 // Quality implements Model with Equation 1.
@@ -111,15 +209,56 @@ func (h *History) Quality(i, k int) float64 {
 	if i == k {
 		return 0
 	}
-	key := keyOf(i, k)
 	h.mu.RLock()
-	r := h.recs[key]
+	r := h.find(i, k)
 	h.mu.RUnlock()
-	hist := h.omega // prior when no shared history
-	if r.count > 0 {
-		hist = r.sum / float64(r.count)
+	return h.estimate(r)
+}
+
+// QualityBlock implements model.BlockModel: it sets dst[a·n+b] to
+// Quality(ids[a], ids[b]) for the n ascending, distinct IDs, under one read
+// lock. The block starts at the prior with a zero diagonal; then each ID's
+// row is merged with the IDs above it, and only the rated pairs are
+// written, on both sides of the diagonal.
+func (h *History) QualityBlock(ids []int, dst []float64) {
+	h.mu.RLock()
+	h.block(ids, dst)
+	h.mu.RUnlock()
+}
+
+// block is QualityBlock under the caller's lock. It returns the merge
+// steps it took, each advancing the row, the list or both: the fill's
+// work beyond the n² stores.
+func (h *History) block(ids []int, dst []float64) (steps int) {
+	n := len(ids)
+	dst = dst[:n*n]
+	prior := h.estimate(pairRec{})
+	for x := range dst {
+		dst[x] = prior
 	}
-	return h.alpha*h.omega + (1-h.alpha)*hist
+	for a, x := range ids {
+		dst[a*n+a] = 0
+		r, rest := h.rows[uint32(x)], ids[a+1:]
+		ks, recs := r.k, r.rec
+		j, b := 0, 0
+		for j < len(ks) && b < len(rest) {
+			steps++
+			switch k, y := ks[j], uint32(rest[b]); {
+			case k < y:
+				j++
+			case k > y:
+				b++
+			default:
+				if recs[j].count > 0 {
+					q, c := h.estimate(recs[j]), a+1+b
+					dst[a*n+c], dst[c*n+a] = q, q
+				}
+				j++
+				b++
+			}
+		}
+	}
+	return steps
 }
 
 // NumWorkers implements Model.
@@ -149,20 +288,23 @@ type PairRecord struct {
 	Count int     `json:"count"`
 }
 
-// Export snapshots all accumulated records, sorted by (I, K).
+// Export snapshots all accumulated records, sorted by (I, K): the rows
+// in worker order, each already in partner order.
 func (h *History) Export() []PairRecord {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	out := make([]PairRecord, 0, len(h.recs))
-	for key, r := range h.recs {
-		out = append(out, PairRecord{I: int(key >> 32), K: int(uint32(key)), Sum: r.sum, Count: r.count})
+	ws := make([]uint32, 0, len(h.rows))
+	for i := range h.rows {
+		ws = append(ws, i)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
+	slices.Sort(ws)
+	out := make([]PairRecord, 0, len(h.rows))
+	for _, i := range ws {
+		r := h.rows[i]
+		for j, k := range r.k {
+			out = append(out, PairRecord{I: int(i), K: int(k), Sum: r.rec[j].sum, Count: r.rec[j].count})
 		}
-		return out[a].K < out[b].K
-	})
+	}
 	return out
 }
 
@@ -183,11 +325,7 @@ func (h *History) Import(recs []PairRecord) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, r := range recs {
-		key := keyOf(r.I, r.K)
-		rec := h.recs[key]
-		rec.sum += r.Sum
-		rec.count += r.Count
-		h.recs[key] = rec
+		h.add(r.I, r.K, r.Sum, r.Count)
 		if r.K+1 > h.n {
 			h.n = r.K + 1
 		}

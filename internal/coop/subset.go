@@ -29,5 +29,25 @@ func (s *Subset) Quality(i, k int) float64 {
 	return s.Base.Quality(s.IDs[i], s.IDs[k])
 }
 
+// QualityBlock implements model.BlockModel. It hands the block to the
+// base model's QualityBlock when the base has one and the mapped IDs
+// ascend, as they do when IDs ascends, and reads it pair by pair otherwise.
+func (s *Subset) QualityBlock(ids []int, dst []float64) {
+	b, ok := s.Base.(blockReader)
+	if !ok {
+		readPairs(s, ids, dst)
+		return
+	}
+	g := make([]int, len(ids))
+	for x, i := range ids {
+		g[x] = s.IDs[i]
+		if x > 0 && g[x] <= g[x-1] {
+			readPairs(s, ids, dst)
+			return
+		}
+	}
+	b.QualityBlock(g, dst)
+}
+
 // NumWorkers implements Model.
 func (s *Subset) NumWorkers() int { return len(s.IDs) }

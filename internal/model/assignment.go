@@ -144,7 +144,7 @@ func (a *Assignment) Clone() *Assignment {
 func (a *Assignment) TotalScore(in *Instance) float64 {
 	var total float64
 	for t, ws := range a.TaskWorkers {
-		total += in.taskQuality(t, ws)
+		total += in.TaskQuality(t, ws)
 	}
 	return total
 }

@@ -30,16 +30,17 @@ type TaskBlocks struct {
 // go unread.
 const MaxBlockSide = 512
 
-// FillBlocks sets in.Blocks from in.Quality, which it calls n² times, row
-// by row, for each task it gives a block: a task whose list holds n ≤
-// MaxBlockSide candidates, while the blocks so far leave room for n²
-// entries. The room is 2·P + |valid pairs|, where P is the number of
-// distinct pairs a memo sized by CoCandidatePairs can hold, at most N(N−1)/2
-// for N workers: the blocks never hold more entries than such a memo has
-// ordered pairs, plus the diagonals. Without shared candidates that room
-// is exactly Σ_t |TaskCand_t|², so every task short enough gets its block;
-// a round whose workers are candidates of many tasks at once gets blocks
-// for its first tasks only, and the rest read the model.
+// FillBlocks sets in.Blocks from in.Quality for each task it gives a
+// block: with one QualityBlock call per task when the model is a
+// BlockModel, else with n² Quality calls, row by row. A task gets a block
+// when its list holds n ≤ MaxBlockSide candidates, while the blocks so far
+// leave room for n² entries. The room is 2·P + |valid pairs|, where P is
+// min(CoCandidatePairs, N(N−1)/2) for N workers, a bound on the distinct
+// pairs a round can read: the blocks never hold more entries than those
+// pairs ordered both ways, plus the diagonals. Without shared candidates
+// that room is exactly Σ_t |TaskCand_t|², so every task short enough gets
+// its block; a round whose workers are candidates of many tasks at once
+// gets blocks for its first tasks only, and the rest read the model.
 //
 // FillBlocks sets no blocks when ctx is done before it ends. The candidate
 // lists must be built and ascending, as BuildCandidates and SubInstance
@@ -59,6 +60,7 @@ func (in *Instance) FillBlocks(ctx context.Context) {
 		}
 	}
 	q := make([]float64, off[len(in.Tasks)])
+	bm, _ := in.Quality.(BlockModel)
 	for t, c := range in.TaskCand {
 		if ctx.Err() != nil {
 			return
@@ -67,11 +69,10 @@ func (in *Instance) FillBlocks(ctx context.Context) {
 		if len(b) == 0 {
 			continue
 		}
-		for a, x := range c {
-			row := b[a*len(c) : (a+1)*len(c)]
-			for k, y := range c {
-				row[k] = in.Quality.Quality(x, y)
-			}
+		if bm != nil {
+			bm.QualityBlock(c, b)
+		} else {
+			readPairs(in.Quality, c, b)
 		}
 	}
 	// Tasks are visited in ascending order, so a worker's k-th visit is
@@ -92,6 +93,18 @@ func (in *Instance) FillBlocks(ctx context.Context) {
 		}
 	}
 	in.Blocks = &TaskBlocks{q: q, off: off, pos: pos}
+}
+
+// readPairs sets dst[a·n+b] to m.Quality(ids[a], ids[b]), n = len(ids),
+// one call per ordered pair, row by row, the diagonal included.
+func readPairs(m QualityModel, ids []int, dst []float64) {
+	n := len(ids)
+	for a, x := range ids {
+		row := dst[a*n : (a+1)*n]
+		for b, y := range ids {
+			row[b] = m.Quality(x, y)
+		}
+	}
 }
 
 // TaskBlock returns task t's block, row-major over the positions of

@@ -44,10 +44,10 @@ func (in *Instance) groupDenom(n, capacity int) int {
 	return min(n, capacity) - 1
 }
 
-// taskQuality is GroupQuality for the group ws at task t, reading t's
+// TaskQuality is GroupQuality for the group ws at task t, reading t's
 // block in GroupQuality's order when t has one and every member is a
-// candidate of t.
-func (in *Instance) taskQuality(t int, ws []int) float64 {
+// candidate of t, so it returns GroupQuality's bits either way.
+func (in *Instance) TaskQuality(t int, ws []int) float64 {
 	denom := in.groupDenom(len(ws), in.Tasks[t].Capacity)
 	q := in.TaskBlock(t)
 	if q == nil || denom == 0 {

@@ -43,6 +43,21 @@ type subQuality struct {
 func (s subQuality) Quality(i, k int) float64 { return s.base.Quality(s.ids[i], s.ids[k]) }
 func (s subQuality) NumWorkers() int          { return len(s.ids) }
 
+// QualityBlock implements BlockModel, through the parent model's
+// QualityBlock when it has one: ids ascends, so its parent IDs do too.
+func (s subQuality) QualityBlock(ids []int, dst []float64) {
+	b, ok := s.base.(BlockModel)
+	if !ok {
+		readPairs(s, ids, dst)
+		return
+	}
+	g := make([]int, len(ids))
+	for x, i := range ids {
+		g[x] = s.ids[i]
+	}
+	b.QualityBlock(g, dst)
+}
+
 // SubInstance extracts the sub-problem induced by the given parent worker
 // and task positions: a dense instance over copies of those workers and
 // tasks with candidate lists sliced to pairs inside the selection, the

@@ -145,6 +145,16 @@ type QualityModel interface {
 	NumWorkers() int
 }
 
+// BlockModel is a QualityModel that reads many pairs in one call. For the
+// n = len(ids) strictly ascending workers ids, QualityBlock sets
+// dst[a·n+b] to Quality(ids[a], ids[b]) with its exact bits, for every
+// ordered pair, the diagonal included; dst holds at least n² entries.
+// FillBlocks makes one such call per task when its model has the method.
+type BlockModel interface {
+	QualityModel
+	QualityBlock(ids []int, dst []float64)
+}
+
 // Validate checks structural sanity of the instance: positive B, capacities
 // ≥ B would be required for a task to ever complete but capacities ≥ 1 are
 // accepted (such tasks simply can't be finished), non-negative speeds and

@@ -242,7 +242,7 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 		ids[i] = w.ID
 	}
 	in.BuildCandidates(model.IndexGrid)
-	in.Quality = coop.NewCachedFor(coop.NewSubset(p.history, ids), in.CoCandidatePairs())
+	in.Quality = coop.NewSubset(p.history, ids)
 	a, exhausted, err := solve(ctx, in)
 	if err != nil {
 		return nil, err
@@ -266,7 +266,7 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 		}
 		d.RemoveTasks = append(d.RemoveTasks, g.Task)
 		d.Groups = append(d.Groups, g)
-		res.Score += in.GroupQuality(ws, in.Tasks[ti].Capacity)
+		res.Score += in.TaskQuality(ti, ws)
 	}
 	res.DispatchedTasks = len(d.Groups)
 	d.Score = res.Score
@@ -289,12 +289,13 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 // The returned solve reports exhausted when no rung delivered within the
 // budget.
 //
-// Without a budget, the returned solve first fills the instance's task
-// blocks (model.Instance.FillBlocks) through its Quality, the round's
-// memo, so the solve and the round's UPPER read in-task pairs from them.
-// The blocks live as long as the instance, one round. A budgeted solve
-// fills none: no rung's slice would pay for the fill, so it would run
-// past the budget.
+// The returned solve wraps the instance's Quality, the round's model, in
+// the round's memo (see memoize), which the caller's UPPER and dispatch
+// read after it. Without a budget it first fills the instance's task
+// blocks (model.Instance.FillBlocks) from the model, so the solve, UPPER
+// and dispatch read in-task pairs from them. The blocks live as long as
+// the instance, one round. A budgeted solve fills none: no rung's slice
+// would pay for the fill, so it would run past the budget.
 func NewSolver(name string, seed, round int64, budget time.Duration, chaos *resilience.ChaosConfig, reg *metrics.Registry) (
 	solve func(context.Context, *model.Instance) (a *model.Assignment, exhausted bool, err error), err error) {
 	solver, err := assign.ByName(name, seed)
@@ -305,6 +306,7 @@ func NewSolver(name string, seed, round int64, budget time.Duration, chaos *resi
 	if budget <= 0 {
 		return func(ctx context.Context, in *model.Instance) (*model.Assignment, bool, error) {
 			in.FillBlocks(ctx)
+			memoize(in)
 			a, err := solver.Solve(ctx, in)
 			return a, false, err
 		}, nil
@@ -318,9 +320,26 @@ func NewSolver(name string, seed, round int64, budget time.Duration, chaos *resi
 		return nil, err
 	}
 	return func(ctx context.Context, in *model.Instance) (*model.Assignment, bool, error) {
+		memoize(in)
 		a, out := ladder.SolveBudgeted(ctx, in)
 		return a, out.Exhausted, nil
 	}, nil
+}
+
+// memoize wraps in.Quality in the round's memo, sized up front for the
+// pairs the round can read from the model: Σ |TaskCand_t|(|TaskCand_t|−1)/2
+// over the tasks without a block. Every pair a solver, UPPER or dispatch
+// reads shares a task, and a task with a block is read from its block, so
+// the memo never doubles. That is 0 when every task has a block, and
+// CoCandidatePairs for a budgeted solve, which fills none.
+func memoize(in *model.Instance) {
+	pairs := 0
+	for t, c := range in.TaskCand {
+		if in.TaskBlock(t) == nil {
+			pairs += len(c) * (len(c) - 1) / 2
+		}
+	}
+	in.Quality = coop.NewCachedFor(in.Quality, pairs)
 }
 
 // RateTask records the requester's rating s ∈ [0,1] for a dispatched task.

@@ -28,25 +28,60 @@ func (m *countingQuality) Quality(i, k int) float64 {
 }
 func (m *countingQuality) NumWorkers() int { return m.base.N }
 
+// blockCounting is a History-backed model that counts its per-pair and
+// its block reads; its QualityBlock is the Subset's, so blocks read the
+// history's rows.
+type blockCounting struct {
+	*coop.Subset
+	pairs, blocks atomic.Int64
+}
+
+func (m *blockCounting) Quality(i, k int) float64 {
+	m.pairs.Add(1)
+	return m.Subset.Quality(i, k)
+}
+
+func (m *blockCounting) QualityBlock(ids []int, dst []float64) {
+	m.blocks.Add(1)
+	m.Subset.QualityBlock(ids, dst)
+}
+
+// solveRound builds a 400-worker, 50-task round with every task's list
+// short enough for a block.
+func solveRound() *model.Instance {
+	r := rand.New(rand.NewSource(3))
+	in := &model.Instance{B: 3, Now: 1}
+	for i := 0; i < 400; i++ {
+		in.Workers = append(in.Workers, model.Worker{ID: 3*i + 1, Loc: geo.Pt(r.Float64(), r.Float64()), Speed: 0.05, Radius: 0.08 + 0.05*r.Float64()})
+	}
+	for j := 0; j < 50; j++ {
+		in.Tasks = append(in.Tasks, model.Task{ID: j, Loc: geo.Pt(r.Float64(), r.Float64()), Capacity: 5, Deadline: 4})
+	}
+	in.BuildCandidates(model.IndexGrid)
+	return in
+}
+
 // TestSolveReadsOnlyBlocks solves a GT+ALL round through the solve that
 // NewSolver returns, plain and under a budget. Both must return the
-// assignment a solve over the model alone returns. The plain solve must
-// call the quality model Σ_t |TaskCand_t|² times, all while filling the
-// task blocks and none after, and leave blocks that hold the model's
+// assignment a solve over the model alone returns; the budgeted solve
+// reads the model through the round's memo, which holds each unordered
+// pair once, so its reference solves over a memo too. The plain solve
+// must call the quality model Σ_t |TaskCand_t|² times, all while filling
+// the task blocks and none after, and leave blocks that hold the model's
 // bits; the budgeted solve must fill no blocks.
+//
+// Over a History-backed model, where every task has a block, filling,
+// solving, UPPER and scoring the dispatched groups must read the model
+// only by one QualityBlock call per task and give the bits the same
+// round gives without blocks.
 func TestSolveReadsOnlyBlocks(t *testing.T) {
 	for _, budget := range []time.Duration{0, time.Minute} {
-		r := rand.New(rand.NewSource(3))
-		in := &model.Instance{B: 3, Now: 1}
-		for i := 0; i < 400; i++ {
-			in.Workers = append(in.Workers, model.Worker{ID: i, Loc: geo.Pt(r.Float64(), r.Float64()), Speed: 0.05, Radius: 0.08 + 0.05*r.Float64()})
-		}
-		for j := 0; j < 50; j++ {
-			in.Tasks = append(in.Tasks, model.Task{ID: j, Loc: geo.Pt(r.Float64(), r.Float64()), Capacity: 5, Deadline: 4})
-		}
-		in.BuildCandidates(model.IndexGrid)
+		in := solveRound()
 		m := &countingQuality{base: coop.Synthetic{N: len(in.Workers), Seed: 8}}
 		in.Quality = m
+		if budget > 0 {
+			in.Quality = coop.NewCached(m)
+		}
 
 		ref, err := assign.ByName("GT+ALL", 1)
 		if err != nil {
@@ -62,6 +97,7 @@ func TestSolveReadsOnlyBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		in.Quality = m
 		m.calls.Store(0)
 		a, exhausted, err := solve(context.Background(), in)
 		if err != nil || exhausted {
@@ -102,4 +138,71 @@ func TestSolveReadsOnlyBlocks(t *testing.T) {
 			}
 		}
 	}
+
+	in := solveRound()
+	h := coop.NewHistory(3*len(in.Workers)+1, 0.5, 0.5)
+	r := rand.New(rand.NewSource(4))
+	ids := make([]int, len(in.Workers))
+	for i, w := range in.Workers {
+		ids[i] = w.ID
+	}
+	for _, c := range in.TaskCand {
+		for x := 0; x+3 <= len(c); x += 2 {
+			h.RecordGroup([]int{ids[c[x]], ids[c[x+1]], ids[c[x+2]]}, r.Float64())
+		}
+	}
+	in.Quality = coop.NewSubset(h, ids)
+	ref, err := assign.ByName("GT+ALL", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Solve(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantUpper, wantScore := assign.Upper(in), dispatchScore(in, want)
+
+	solve, err := NewSolver("GT+ALL", 1, 1, 0, nil, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &blockCounting{Subset: coop.NewSubset(h, ids)}
+	in.Quality = m
+	a, _, err := solve(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper, score := assign.Upper(in), dispatchScore(in, a)
+	blocked := int64(0)
+	for tk, c := range in.TaskCand {
+		if len(c) > 0 {
+			if in.TaskBlock(tk) == nil {
+				t.Fatalf("task %d has no block", tk)
+			}
+			blocked++
+		}
+	}
+	if p, b := m.pairs.Load(), m.blocks.Load(); p != 0 || b != blocked {
+		t.Fatalf("fill, solve, UPPER and dispatch made %d pair reads and %d block reads; want 0 and one per task, %d", p, b, blocked)
+	}
+	for w := range in.Workers {
+		if a.WorkerTask[w] != want.WorkerTask[w] {
+			t.Fatalf("history: worker %d on task %d, %d without blocks", w, a.WorkerTask[w], want.WorkerTask[w])
+		}
+	}
+	if math.Float64bits(upper) != math.Float64bits(wantUpper) || math.Float64bits(score) != math.Float64bits(wantScore) || score == 0 {
+		t.Fatalf("history: UPPER %v and dispatched score %v, %v and %v without blocks", upper, score, wantUpper, wantScore)
+	}
+}
+
+// dispatchScore sums the dispatched groups' qualities as
+// Platform.RunBatch does: the groups that reach B, in task order.
+func dispatchScore(in *model.Instance, a *model.Assignment) float64 {
+	var s float64
+	for tk, ws := range a.TaskWorkers {
+		if len(ws) >= in.B {
+			s += in.TaskQuality(tk, ws)
+		}
+	}
+	return s
 }

@@ -584,12 +584,12 @@ func (c *Cluster) componentCells(in *model.Instance, comp partition.Component) (
 // solveShard solves one shard's pinned union sub-instance. The sub-instance
 // preserves relative index order (SubInstance canonicalises ascending), so
 // deterministic solvers produce exactly the slice of the monolithic result
-// covering these components. Each shard memoizes qualities privately —
-// coop.Cached is not safe for concurrent use, and shards solve in parallel.
+// covering these components. The solve memoizes qualities in a memo of
+// the shard's own (server.NewSolver) — coop.Cached is not safe for
+// concurrent use, and shards solve in parallel.
 func (c *Cluster) solveShard(ctx context.Context, sh *Shard, solverName string, seed int64, in *model.Instance, workers, tasks []int) (*model.Assignment, *model.SubIndex, bool, error) {
 	t0 := now()
 	sub, idx := in.SubInstance(workers, tasks)
-	sub.Quality = coop.NewCachedFor(sub.Quality, sub.CoCandidatePairs())
 	solve, err := server.NewSolver(solverName, assign.ComponentSeed(seed, sh.id), seed, c.solveBudget, sh.chaos, c.metrics)
 	if err != nil {
 		return nil, nil, false, err
