@@ -143,3 +143,108 @@ func TestTaskBlocksTruncatedPools(t *testing.T) {
 	}
 	requireBitwiseEqual(t, in, got, want, "TPG/SeedLimit=6 over blocks")
 }
+
+// TestUpperOverBlocks computes every worker's q̂ and UPPER over task
+// blocks and requires the bits of the same instance without blocks, at
+// B from 2 to 21 (churn's B = 10 and B = 18–21 among them), over random
+// candidate graphs whose shared candidates leave some tasks without a
+// block and over TestTaskBlocksPartial's dense shape. It also requires the
+// exact set of pairs the model is asked for: one call for each
+// co-candidate a worker first meets in a list without a block, and none
+// for a worker with fewer than B−1 co-candidates or with a block at
+// every candidate task. Each kind of worker must occur.
+func TestUpperOverBlocks(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	var blocked, mixed, short int
+	check := func(in *model.Instance) {
+		t.Helper()
+		tq := in.Quality.(*tableQuality)
+		in.Blocks = nil
+		var q QHat
+		q.Reset(in)
+		want := make([]float64, len(in.Workers))
+		for w := range want {
+			want[w] = q.Of(w)
+		}
+		wantUpper := Upper(in)
+
+		in.FillBlocks(context.Background())
+		wantCalls := map[[2]int]int{}
+		for w := range in.Workers {
+			peers, fromModel := map[int]bool{}, []int(nil)
+			all := true
+			for _, tk := range in.WorkerCand[w] {
+				hasBlock := in.TaskBlock(tk) != nil
+				all = all && hasBlock
+				for _, k := range in.TaskCand[tk] {
+					if k != w && !peers[k] {
+						peers[k] = true
+						if !hasBlock {
+							fromModel = append(fromModel, k)
+						}
+					}
+				}
+			}
+			switch {
+			case len(peers) < in.B-1:
+				if !all {
+					short++
+				}
+				continue
+			case all:
+				blocked++
+			default:
+				mixed++
+			}
+			for _, k := range fromModel {
+				wantCalls[[2]int{w, k}]++
+			}
+		}
+
+		tq.calls = map[[2]int]int{}
+		q.Reset(in)
+		for w := range want {
+			if got := q.Of(w); math.Float64bits(got) != math.Float64bits(want[w]) {
+				t.Fatalf("B=%d: q̂ of worker %d over blocks %v (%#x), over the model %v (%#x)",
+					in.B, w, got, math.Float64bits(got), want[w], math.Float64bits(want[w]))
+			}
+		}
+		if got := Upper(in); math.Float64bits(got) != math.Float64bits(wantUpper) {
+			t.Fatalf("B=%d: Upper over blocks %v (%#x), over the model %v (%#x)",
+				in.B, got, math.Float64bits(got), wantUpper, math.Float64bits(wantUpper))
+		}
+		// q.Of and Upper each read every pair once.
+		for p, n := range wantCalls {
+			wantCalls[p] = 2 * n
+		}
+		for _, m := range []map[[2]int]int{tq.calls, wantCalls} {
+			for p := range m {
+				if got, want := tq.calls[p], wantCalls[p]; got != want {
+					t.Fatalf("B=%d: the model was asked for pair %v %d times, want %d", in.B, p, got, want)
+				}
+			}
+		}
+		tq.calls = nil
+	}
+	for trial := 0; trial < 200; trial++ {
+		b := []int{3, 10, 18, 19, 20, 21}[trial%6]
+		if trial%5 == 0 {
+			b = 2 + r.Intn(20)
+		}
+		check(boundsInstance(r, 10+r.Intn(40), 1+r.Intn(15), b, 0.1+r.Float64()*0.5, trial, true))
+	}
+	for _, b := range []int{3, 10, 18, 21} {
+		in := randomInstance(r, 30, 40, b)
+		for i := range in.Workers {
+			in.Workers[i].Radius, in.Workers[i].Speed = 2, 10
+		}
+		in.BuildCandidates(model.IndexGrid)
+		in.Quality = paletteTable(r, len(in.Workers))
+		check(in)
+	}
+	t.Logf("workers with ≥ B−1 co-candidates: %d with a block at every task, %d without; %d with fewer and a list without a block",
+		blocked, mixed, short)
+	if blocked == 0 || mixed == 0 || short == 0 {
+		t.Fatal("some kind of worker never occurred")
+	}
+}

@@ -6,11 +6,13 @@ import (
 	"casc/internal/model"
 )
 
-// This file holds the two primitives behind the quality bounds (Upper,
-// UpperTight, Bounds): a stamp-deduplicated walk over a worker's
-// co-candidates and a bounded top-k selection. With them a bound costs
-// O(Σ co-candidate pairs · k) with no sort, and its sums equal, bit for
-// bit, those of sorting each list and summing its prefix.
+// This file holds the two primitives behind UpperTight and Bounds: a
+// stamp-deduplicated walk over a worker's co-candidates, which Upper's q̂
+// also takes for workers not read from task blocks alone, and a bounded
+// top-k selection. With them a bound costs O(Σ co-candidate pairs · k)
+// with no sort, and its sums equal, bit for bit, those of sorting each
+// list and summing its prefix. QHat selects with its own buffer of
+// (value, worker) pairs (upper.go), in the same order.
 
 // peerWalk enumerates co-candidates: the distinct workers sharing at least
 // one candidate task with a worker — the only workers it can ever share a

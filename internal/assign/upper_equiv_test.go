@@ -335,7 +335,7 @@ func FuzzUpperEquivalence(f *testing.F) {
 
 func TestUpperAllocsConstant(t *testing.T) {
 	// Upper allocates its per-round scratch once (q̂, the visit stamps, the
-	// peer buffer, the top-k buffer) — never per worker or per task — so
+	// pair buffer, the top-k buffer) — never per worker or per task — so
 	// its allocation count does not grow with the instance.
 	r := rand.New(rand.NewSource(133))
 	small := randomInstance(r, 120, 30, 3)
@@ -348,5 +348,40 @@ func TestUpperAllocsConstant(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("Upper allocations grow with the instance: %.0f → %.0f", a, b)
+	}
+}
+
+// TestQHatDenseMatchesOf: Dense over a dense copy of the model gives
+// every worker Of's bits, for instances of up to 150 workers (bitsets of
+// several words) with ties, ±0 and NaN among the qualities, B−1 up to 20,
+// and asks the model for nothing.
+func TestQHatDenseMatchesOf(t *testing.T) {
+	r := rand.New(rand.NewSource(134))
+	var q QHat
+	var got []float64
+	for trial := 0; trial < 300; trial++ {
+		b := 2 + r.Intn(7)
+		if trial%10 == 0 {
+			b = 2 + r.Intn(20)
+		}
+		nW := 1 + r.Intn(40)
+		if trial%4 == 0 {
+			nW = 60 + r.Intn(91)
+		}
+		in := boundsInstance(r, nW, 1+r.Intn(15), b, 0.02+r.Float64()*0.4, trial, trial%2 == 0)
+		tq := in.Quality.(*tableQuality)
+		tq.calls = map[[2]int]int{}
+		got = q.Dense(in, tq.q, got[:0])
+		if len(tq.calls) != 0 {
+			t.Fatalf("Dense asked the model about %d pairs, want none", len(tq.calls))
+		}
+		tq.calls = nil
+		q.Reset(in)
+		for w := range in.Workers {
+			if want := q.Of(w); math.Float64bits(got[w]) != math.Float64bits(want) {
+				t.Fatalf("B=%d, %d workers: Dense gives worker %d q̂ %v (%#x), Of %v (%#x)",
+					b, nW, w, got[w], math.Float64bits(got[w]), want, math.Float64bits(want))
+			}
+		}
 	}
 }

@@ -315,15 +315,12 @@ func BenchmarkHistoryRecordLongRow(b *testing.B) {
 	})
 }
 
-// BenchmarkFillBlocksHistory fills one round's task blocks from a History
-// at serve-http's shape: 2 000 registered workers, of which 1 300 are in
-// the round, 150 tasks with ≈ 25 candidates each, and ≈ 80 k rated pairs.
-// About a fifth of the round's co-candidate pairs are rated, as in
-// serve-http, and the rest of the ratings pair workers at random. It
-// reports the block entries filled and the row merge steps taken per
-// fill, work counts that repeat exactly for a given tree.
-func BenchmarkFillBlocksHistory(b *testing.B) {
-	const registered, nW, nT, rated = 2000, 1300, 150, 80000
+// historyRound returns a round of nW of the registered workers, in
+// ascending ID order, and nT tasks, with its quality a Subset of a
+// History holding rated pairs: about a fifth of the round's co-candidate
+// pairs, then pairs of workers at random. It also returns the History and
+// the round's worker IDs.
+func historyRound(registered, nW, nT, rated int) (*model.Instance, *History, []int) {
 	r := rand.New(rand.NewSource(1))
 	ids := r.Perm(registered)[:nW]
 	slices.Sort(ids)
@@ -356,6 +353,51 @@ func BenchmarkFillBlocksHistory(b *testing.B) {
 		rate(r.Intn(registered), r.Intn(registered))
 	}
 	in.Quality = NewSubset(h, ids)
+	return in, h, ids
+}
+
+// TestFillBlocksAllocsFlat: a fill through a fresh Subset, as each serving
+// round makes one, and through a sub-instance of it, as each shard's
+// solve does, allocates the same at 40 and at 160 tasks: the mapped IDs
+// of every task go into one scratch slice per view.
+func TestFillBlocksAllocsFlat(t *testing.T) {
+	allocs := func(nT int, sub bool) float64 {
+		in, h, ids := historyRound(600, 400, nT, 5000)
+		var all []int
+		for w := range in.Workers {
+			all = append(all, w)
+		}
+		var tasks []int
+		for j := range in.Tasks {
+			tasks = append(tasks, j)
+		}
+		return testing.AllocsPerRun(10, func() {
+			in.Quality = NewSubset(h, ids)
+			fill := in
+			if sub {
+				fill, _ = in.SubInstance(all, tasks)
+			}
+			fill.FillBlocks(context.Background())
+		})
+	}
+	for _, sub := range []bool{false, true} {
+		small, large := allocs(40, sub), allocs(160, sub)
+		if small != large {
+			t.Fatalf("sub-instance %v: a fill allocates %.0f times at 40 tasks and %.0f at 160", sub, small, large)
+		}
+	}
+}
+
+// BenchmarkFillBlocksHistory fills one round's task blocks from a History
+// at serve-http's shape: 2 000 registered workers, of which 1 300 are in
+// the round, 150 tasks with ≈ 25 candidates each, and ≈ 80 k rated pairs.
+// About a fifth of the round's co-candidate pairs are rated, as in
+// serve-http, and the rest of the ratings pair workers at random. It
+// reports the block entries filled and the row merge steps taken per
+// fill, work counts that repeat exactly for a given tree.
+func BenchmarkFillBlocksHistory(b *testing.B) {
+	const nT = 150
+	in, h, ids := historyRound(2000, 1300, nT, 80000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

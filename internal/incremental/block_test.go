@@ -229,3 +229,59 @@ func scratchSolve(t *testing.T, b int, ws []model.Worker, ts []model.Task, seed 
 func sameGroups(a, b *model.Assignment) bool {
 	return slices.EqualFunc(a.TaskWorkers, b.TaskWorkers, slices.Equal[[]int])
 }
+
+// TestUpperReadsNoPairOfBlockComponents: Solve sets the q̂ of the workers
+// of a component it solves over the dense block from the block, so UPPER
+// asks the model only about the other components' workers, and keeps
+// assign.Upper's bits. The round holds an eligible 30-worker site and a
+// 40-worker chain that gets no block. Without Carry, the next round's
+// Plan forgets every q̂: an UPPER with no Solve before it walks both.
+func TestUpperReadsNoPairOfBlockComponents(t *testing.T) {
+	const b = 2
+	ws, ts := site(geo.Pt(0.3, 0.6), 30, 3)
+	cw, ct := chain(40)
+	for i := range cw {
+		cw[i].ID += len(ws)
+	}
+	for j := range ct {
+		ct[j].ID += len(ts)
+	}
+	// chainCalls is what UPPER asks about the chain's workers alone.
+	chainOnly := &countingModel{base: palette(len(cw))}
+	_, cr := planned(b, cw, ct, chainOnly)
+	assign.Upper(cr.In)
+	chainCalls := chainOnly.calls
+	if chainCalls == 0 {
+		t.Fatal("UPPER over the chain asked the model nothing; the test checks nothing")
+	}
+
+	n := len(ws) + len(cw)
+	base := &countingModel{base: palette(n)}
+	eng, r := planned(b, append(ws, cw...), append(ts, ct...), base)
+	if len(r.Comps) != 2 {
+		t.Fatalf("planned %d components, want the site and the chain", len(r.Comps))
+	}
+	upper := func(label string, wantCalls int) {
+		t.Helper()
+		before := base.calls
+		got := eng.Upper()
+		if calls := base.calls - before; calls != wantCalls {
+			t.Fatalf("%s: UPPER made %d model calls, want %d", label, calls, wantCalls)
+		}
+		if want := assign.Upper(r.In); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: engine UPPER %v (%#x), assign.Upper %v (%#x)", label, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	a, err := eng.Solve(context.Background(), assign.NewTPG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper("after Solve", chainCalls)
+	upper("again", 0)
+
+	eng.Commit(a, nil, nil)
+	eng.BeginRound(1)
+	r = eng.Plan()
+	r.In.Quality = base
+	upper("next round, no Solve", len(ws)*(len(ws)-1)+chainCalls)
+}

@@ -137,7 +137,7 @@ type component struct {
 	rec      []int
 	recEnd   []int
 	recorded bool
-	qhatOK   bool // the members' q̂ are valid
+	qhatOK   bool // the members' q̂ are valid (under Carry, across rounds)
 }
 
 // Round is one planned engine round: the assembled instance (Quality is
@@ -698,6 +698,7 @@ func (e *Engine) Plan() *Round {
 	for _, c := range e.comps {
 		comps = append(comps, c.part)
 		dirty = append(dirty, !e.cfg.Carry || !c.recorded)
+		c.qhatOK = c.qhatOK && e.cfg.Carry
 	}
 	e.round = Round{In: &e.in, Comps: comps, Dirty: dirty}
 	e.solved = e.solved[:0]
@@ -1042,9 +1043,11 @@ func (e *Engine) Solve(ctx context.Context, solver assign.Solver) (*model.Assign
 			continue
 		}
 		sub, idx := r.In.SubInstance(c.part.Workers, c.part.Tasks)
+		blocked := false
 		if n := len(sub.Workers); n <= blockCap && n*(n-1)/2 <= sub.CoCandidatePairs() {
 			e.block.fill(sub.Quality, n)
 			sub.Quality = &e.block
+			blocked = true
 		}
 		s := solver
 		if f, ok := solver.(assign.Forker); ok {
@@ -1067,6 +1070,17 @@ func (e *Engine) Solve(ctx context.Context, solver assign.Solver) (*model.Assign
 		}
 		if sa != nil {
 			idx.Lift(sa, a)
+		}
+		if blocked && !c.qhatOK {
+			// Set the q̂ of c's workers while the block is hot: the
+			// sub-instance's position li is c.workers[li], and its
+			// co-candidates are all in c, so q̂ over the block is q̂ over
+			// the planned instance.
+			e.qhat = e.qh.Dense(sub, e.block.q, e.qhat[:0])
+			for li, ws := range c.workers {
+				ws.qhat = e.qhat[li]
+			}
+			c.qhatOK = true
 		}
 		e.solved = append(e.solved, c)
 		r.Resolved++
@@ -1131,10 +1145,12 @@ func (e *Engine) replay(c *component, a *model.Assignment) {
 
 // Upper returns the round's UPPER bound (Equation 9), bitwise equal to
 // assign.Upper on the planned instance. Call it between Plan and Commit,
-// with Quality set. Under Carry a worker's q̂ depends only on its
-// component (its co-candidates are there, and qualities are a fixed
-// function of external IDs), so only the workers of components built since
-// their last evaluation are walked; the combine step is always whole.
+// with Quality set. Solve has set the q̂ of the components it solved over
+// the dense block, from the block; Upper walks the workers of the others
+// whose q̂ is not yet known this round. Under Carry a worker's q̂ depends
+// only on its component (its co-candidates are there, and qualities are a
+// fixed function of external IDs), so it stays known for as long as the
+// component is kept; the combine step is always whole.
 func (e *Engine) Upper() float64 {
 	e.qh.Reset(&e.in)
 	for _, c := range e.comps {
@@ -1144,7 +1160,7 @@ func (e *Engine) Upper() float64 {
 		for li, ws := range c.workers {
 			ws.qhat = e.qh.Of(c.part.Workers[li])
 		}
-		c.qhatOK = e.cfg.Carry
+		c.qhatOK = true
 	}
 	if cap(e.qhat) < len(e.workers) {
 		e.qhat = make([]float64, len(e.workers))

@@ -34,24 +34,31 @@ func (m *SubIndex) Lift(sub, dst *Assignment) {
 
 // subQuality re-indexes a parent quality model onto sub-instance worker
 // positions, mirroring coop.Subset but at the model layer so SubInstance
-// works with any QualityModel.
+// works with any QualityModel. Like coop.Subset, it is not safe for
+// concurrent QualityBlock calls.
 type subQuality struct {
 	base QualityModel
 	ids  []int
+	g    []int // QualityBlock's parent IDs, reused by the next call
 }
 
-func (s subQuality) Quality(i, k int) float64 { return s.base.Quality(s.ids[i], s.ids[k]) }
-func (s subQuality) NumWorkers() int          { return len(s.ids) }
+func (s *subQuality) Quality(i, k int) float64 { return s.base.Quality(s.ids[i], s.ids[k]) }
+func (s *subQuality) NumWorkers() int          { return len(s.ids) }
 
 // QualityBlock implements BlockModel, through the parent model's
 // QualityBlock when it has one: ids ascends, so its parent IDs do too.
-func (s subQuality) QualityBlock(ids []int, dst []float64) {
+// The parent IDs go into one slice, allocated by the first call and
+// reused by the rest.
+func (s *subQuality) QualityBlock(ids []int, dst []float64) {
 	b, ok := s.base.(BlockModel)
 	if !ok {
 		readPairs(s, ids, dst)
 		return
 	}
-	g := make([]int, len(ids))
+	if s.g == nil {
+		s.g = make([]int, len(s.ids)) // ids holds distinct positions
+	}
+	g := s.g[:len(ids)]
 	for x, i := range ids {
 		g[x] = s.ids[i]
 	}
@@ -85,7 +92,7 @@ func (in *Instance) SubInstance(workerIDs, taskIDs []int) (*Instance, *SubIndex)
 	sub := &Instance{
 		Workers:    make([]Worker, len(wIDs)),
 		Tasks:      make([]Task, len(tIDs)),
-		Quality:    subQuality{base: in.Quality, ids: wIDs},
+		Quality:    &subQuality{base: in.Quality, ids: wIDs},
 		B:          in.B,
 		Now:        in.Now,
 		Travel:     in.Travel,

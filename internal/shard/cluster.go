@@ -586,10 +586,17 @@ func (c *Cluster) componentCells(in *model.Instance, comp partition.Component) (
 // deterministic solvers produce exactly the slice of the monolithic result
 // covering these components. The solve memoizes qualities in a memo of
 // the shard's own (server.NewSolver) — coop.Cached is not safe for
-// concurrent use, and shards solve in parallel.
+// concurrent use, and shards solve in parallel. For the same reason the
+// shard reads the history through a Subset of its own, over its workers'
+// IDs: a Subset's QualityBlock reuses one scratch slice.
 func (c *Cluster) solveShard(ctx context.Context, sh *Shard, solverName string, seed int64, in *model.Instance, workers, tasks []int) (*model.Assignment, *model.SubIndex, bool, error) {
 	t0 := now()
 	sub, idx := in.SubInstance(workers, tasks)
+	ids := make([]int, len(sub.Workers))
+	for i, w := range sub.Workers {
+		ids[i] = w.ID
+	}
+	sub.Quality = coop.NewSubset(c.history, ids)
 	solve, err := server.NewSolver(solverName, assign.ComponentSeed(seed, sh.id), seed, c.solveBudget, sh.chaos, c.metrics)
 	if err != nil {
 		return nil, nil, false, err
