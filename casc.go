@@ -119,14 +119,6 @@ func NewRandom(seed int64) Solver { return assign.NewRandom(seed) }
 // NewWST returns the worker-selected-tasks baseline (related work §VII).
 func NewWST() Solver { return assign.NewWST() }
 
-// NewExact returns the branch-and-bound optimal solver (small instances).
-func NewExact() *assign.Exact { return assign.NewExact() }
-
-// NewPortfolio runs several solvers and keeps the best assignment.
-func NewPortfolio(names []string, seed int64) (*assign.Portfolio, error) {
-	return assign.NewPortfolio(names, seed)
-}
-
 // Decomposition.
 type (
 	// InstanceComponent is one connected component of an instance's
@@ -180,16 +172,6 @@ func NewQualityHistory(n int, alpha, omega float64) *QualityHistory {
 // NewQualityJaccard returns the Meetup co-group quality model over sorted
 // per-worker group membership lists.
 func NewQualityJaccard(groups [][]int) *QualityJaccard { return coop.NewJaccard(groups) }
-
-// QualityDecayHistory is a recency-weighted Equation 1 estimator: ratings
-// are weighted by exp(−λ·age), so estimates track current cooperation.
-type QualityDecayHistory = coop.DecayHistory
-
-// NewQualityDecayHistory returns a decayed estimator with rate lambda per
-// time unit (lambda = 0 matches QualityHistory exactly).
-func NewQualityDecayHistory(n int, alpha, omega, lambda float64) *QualityDecayHistory {
-	return coop.NewDecayHistory(n, alpha, omega, lambda)
-}
 
 // NewQualityCache memoizes an expensive quality model per unordered pair;
 // wrap Jaccard or History models before handing them to solvers.

@@ -104,15 +104,6 @@ func TestFacadeWrappers(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 	}
-	ex := NewExact()
-	_ = ex.Name()
-	pf, err := NewPortfolio([]string{"TPG", "RAND"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pf.Solve(ctx, inst); err != nil {
-		t.Fatal(err)
-	}
 
 	// Bounds, equilibrium and regret analysis.
 	bounds := Bounds(inst)
@@ -134,11 +125,6 @@ func TestFacadeWrappers(t *testing.T) {
 	}
 
 	// Quality model constructors.
-	dh := NewQualityDecayHistory(5, 0.5, 0.5, 0.1)
-	dh.Record(0, 1, 0.9)
-	if dh.Quality(0, 1) <= 0.5 {
-		t.Fatal("decay history broken")
-	}
 	cached := NewQualityCache(QualitySynthetic{N: 10, Seed: 2})
 	if cached.Quality(1, 2) != cached.Quality(2, 1) {
 		t.Fatal("cache asymmetric")

@@ -15,7 +15,7 @@ import (
 // value may outlive its solve. The rule runs a forward taint analysis over
 // each function's CFG — sources are Arena field reads and Arena method
 // results (and, in functions that wire an arena via SetArena, the results
-// of the Solve/SolveWarm/SolveMaybeWarm contract, which arena.go documents
+// of the Solve/SolveWarm contract, which arena.go documents
 // as arena-owned) — and flags the four escape routes:
 //
 //   - returned from an exported function (the Solve* solver entry points
@@ -188,7 +188,7 @@ type escRun struct {
 	fd        *ast.FuncDecl  // enclosing declaration
 	body      *ast.BlockStmt // analyzed body (fd.Body, or a closure's)
 	seedParam types.Object   // mode B: taint starts at this parameter
-	// solveTaints: results of Solve/SolveWarm/SolveMaybeWarm are tainted —
+	// solveTaints: results of Solve/SolveWarm are tainted —
 	// set when the enclosing declaration wires an arena via SetArena.
 	solveTaints bool
 
@@ -511,7 +511,7 @@ func (r *escRun) taintedCall(call *ast.CallExpr, st taintSet) bool {
 	// That only outlives this frame when the frame wired a persistent
 	// arena up (SetArena); a throwaway solver's result is safe to retain,
 	// so the contract gate overrides the callee's summary here.
-	if name == "Solve" || name == "SolveWarm" || name == "SolveMaybeWarm" {
+	if name == "Solve" || name == "SolveWarm" {
 		return r.seedParam == nil && r.solveTaints
 	}
 	if r.seedParam == nil {

@@ -36,14 +36,26 @@ type CallSite struct {
 }
 
 // CallGraph accumulates FuncInfo across packages; rules feed it one
-// package per Check call and query it in Finish.
+// package per Check call and query it in Finish. Nodes are keyed by
+// package path and name (dcKey), not by *types.Func: each package is
+// type-checked on its own against its imports' export data, so a callee
+// in another package is a different object from the one its own
+// package's check defined.
 type CallGraph struct {
-	nodes map[*types.Func]*FuncInfo
+	nodes map[string]*FuncInfo
 }
 
 // NewCallGraph returns an empty graph.
 func NewCallGraph() *CallGraph {
-	return &CallGraph{nodes: map[*types.Func]*FuncInfo{}}
+	return &CallGraph{nodes: map[string]*FuncInfo{}}
+}
+
+// node returns fn's FuncInfo, or nil if no loaded package declares it.
+func (cg *CallGraph) node(fn *types.Func) *FuncInfo {
+	if key := dcKey(fn); key != "" {
+		return cg.nodes[key]
+	}
+	return nil
 }
 
 // AddPackage indexes every function declaration of p.
@@ -58,6 +70,10 @@ func (cg *CallGraph) AddPackage(p *Package) {
 			if obj == nil {
 				continue
 			}
+			key := dcKey(obj)
+			if key == "" {
+				continue
+			}
 			fi := &FuncInfo{Fn: obj, Decl: fd, Pkg: p, Ctx: contextParam(p, fd)}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -70,7 +86,7 @@ func (cg *CallGraph) AddPackage(p *Package) {
 				}
 				return true
 			})
-			cg.nodes[obj] = fi
+			cg.nodes[key] = fi
 		}
 	}
 }
@@ -84,7 +100,7 @@ func (cg *CallGraph) LoopsWithin(fn *types.Func) bool {
 	if isSolveContract(fn) {
 		return true
 	}
-	fi := cg.nodes[fn]
+	fi := cg.node(fn)
 	if fi == nil {
 		return false
 	}
@@ -95,7 +111,7 @@ func (cg *CallGraph) LoopsWithin(fn *types.Func) bool {
 		if isSolveContract(cs.Callee) {
 			return true
 		}
-		if next := cg.nodes[cs.Callee]; next != nil && next.HasLoop {
+		if next := cg.node(cs.Callee); next != nil && next.HasLoop {
 			return true
 		}
 	}

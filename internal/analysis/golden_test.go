@@ -127,6 +127,7 @@ func TestGolden(t *testing.T) {
 	cases := []struct {
 		fixture string
 		rules   []string // rules to run; nil = all
+		deps    []string // sub-packages loaded with the fixture
 	}{
 		{fixture: "maporder", rules: []string{"maporder"}},
 		{fixture: "seededrand", rules: []string{"seededrand"}},
@@ -148,7 +149,7 @@ func TestGolden(t *testing.T) {
 		// The four CFG/dataflow rules (DESIGN.md §13).
 		{fixture: "arenaescape", rules: []string{"arenaescape"}},
 		{fixture: "lockbalance", rules: []string{"lockbalance"}},
-		{fixture: "ctxprop", rules: []string{"ctxprop"}},
+		{fixture: "ctxprop", rules: []string{"ctxprop"}, deps: []string{"loops"}},
 		{fixture: "floatdet", rules: []string{"floatdet"}},
 		// Reachability from main over references and used interfaces
 		// (DESIGN.md §9).
@@ -161,6 +162,14 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
 			}
+			pkgs := []*Package{pkg}
+			for _, d := range tc.deps {
+				dep, err := l.LoadDir(filepath.Join(dir, d))
+				if err != nil {
+					t.Fatalf("loading fixture: %v", err)
+				}
+				pkgs = append(pkgs, dep)
+			}
 			var rules []*Rule
 			for _, r := range AllRules() {
 				for _, name := range tc.rules {
@@ -169,7 +178,7 @@ func TestGolden(t *testing.T) {
 					}
 				}
 			}
-			diags := Run([]*Package{pkg}, Options{Rules: rules, IgnoreScope: true})
+			diags := Run(pkgs, Options{Rules: rules, IgnoreScope: true})
 
 			wants := fixtureWants(t, dir)
 			if tc.fixture == "suppress" {

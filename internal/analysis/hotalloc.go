@@ -12,7 +12,7 @@ import (
 // testing.AllocsPerRun regression tests; this rule is the static half — it
 // catches the allocating idioms at review time, in every solver, including
 // the ones no alloc test pins. Flagged inside any loop body of a
-// Solve/SolveWarm/solve/solveWarm function or method:
+// Solve/SolveWarm/solve function or method:
 //
 //   - make(...) — grow an arena buffer outside the loop instead;
 //   - append(nil, ...) / append(T(nil), ...) — the copy-into-fresh-slice
@@ -43,7 +43,7 @@ func newHotAlloc() *Rule {
 // unexported twins that hold the actual hot loops (TPG.solve, GT.solve).
 func solveFuncName(name string) bool {
 	switch name {
-	case "Solve", "SolveWarm", "solve", "solveWarm":
+	case "Solve", "SolveWarm", "solve":
 		return true
 	}
 	return false

@@ -3,7 +3,11 @@
 // a freshly minted root context that can never be cancelled.
 package ctxprop
 
-import "context"
+import (
+	"context"
+
+	"casc/internal/analysis/testdata/src/ctxprop/loops"
+)
 
 type Solver struct{}
 
@@ -54,6 +58,28 @@ func NoCtxCaller(in []int) int {
 
 func OneLevel(n int) int {
 	return wraps(context.Background(), n) // want ctxprop
+}
+
+// Cross-package callees: a loop in another package, one level down in
+// that package, and one reached through a local function.
+func CrossPackage(n int) int {
+	return loops.Drain(context.Background(), n) // want ctxprop
+}
+
+func CrossOneLevel(n int) int {
+	return loops.Relay(context.TODO(), n) // want ctxprop
+}
+
+func drains(ctx context.Context, n int) int {
+	return loops.Drain(ctx, n)
+}
+
+func CrossViaLocal(n int) int {
+	return drains(context.Background(), n) // want ctxprop
+}
+
+func CrossFlatOK(n int) int {
+	return loops.Once(context.Background(), n) // ok: callee never loops
 }
 
 func PropagatesOK(ctx context.Context, in []int) int {

@@ -42,19 +42,6 @@ func TestTPGSteadyStateAllocs(t *testing.T) {
 	})
 }
 
-func TestTPGWarmSteadyStateAllocs(t *testing.T) {
-	in := steadyStateInstance(t)
-	ctx := context.Background()
-	s := NewTPG()
-	s.SetArena(NewArena())
-	warm := NewWarm()
-	requireZeroAllocs(t, "TPG+warm", func() {
-		if _, err := s.SolveWarm(ctx, in, warm); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func TestGTSteadyStateAllocs(t *testing.T) {
 	in := steadyStateInstance(t)
 	ctx := context.Background()

@@ -535,9 +535,10 @@ func requireBitwiseEqual(t *testing.T, in *model.Instance, got, want *model.Assi
 }
 
 // TestArenaTPGEquivalence checks TPG against the pre-arena reference on
-// random instances, with one persistent arena reused across every trial —
-// so cross-solve contamination (stale marks, dirty buffers, slot reuse)
-// shows up as a bitwise diff.
+// random instances, then on a slowly-mutating instance sequence (one
+// worker moves per round), with one persistent arena reused across every
+// solve — so cross-solve contamination (stale marks, dirty buffers, slot
+// reuse) shows up as a bitwise diff.
 func TestArenaTPGEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	ctx := context.Background()
@@ -553,6 +554,18 @@ func TestArenaTPGEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireBitwiseEqual(t, in, got, refTPGSolve(ctx, NewTPG(), in), "TPG")
+	}
+	r = rand.New(rand.NewSource(17))
+	in := randomInstance(r, 80, 16, 3)
+	for round := 0; round < 8; round++ {
+		got, err := s.Solve(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitwiseEqual(t, in, got, refTPGSolve(ctx, NewTPG(), in), "TPG mutating")
+		w := r.Intn(len(in.Workers))
+		in.Workers[w].Loc = in.Workers[w].Loc.Add(0.01*(r.Float64()-0.5), 0.01*(r.Float64()-0.5))
+		in.BuildCandidates(model.IndexRTree)
 	}
 }
 
@@ -668,30 +681,6 @@ func paletteTable(r *rand.Rand, n int) *tableQuality {
 		}
 	}
 	return tq
-}
-
-// TestArenaWarmEquivalence reuses one arena AND one warm cache across
-// rounds over a slowly-mutating instance sequence, against cold reference
-// solves.
-func TestArenaWarmEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	ctx := context.Background()
-	s := NewTPG()
-	s.SetArena(NewArena())
-	warm := NewWarm()
-	in := randomInstance(r, 80, 16, 3)
-	for round := 0; round < 8; round++ {
-		got, err := s.SolveWarm(ctx, in, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitwiseEqual(t, in, got, refTPGSolve(ctx, NewTPG(), in), "TPG+warm")
-		// Mutate a corner of the instance: move one worker, which flips a
-		// few fingerprints and leaves the rest warm.
-		w := r.Intn(len(in.Workers))
-		in.Workers[w].Loc = in.Workers[w].Loc.Add(0.01*(r.Float64()-0.5), 0.01*(r.Float64()-0.5))
-		in.BuildCandidates(model.IndexRTree)
-	}
 }
 
 // fuzzGTVariants are the GT variants FuzzArenaEquivalence selects from.

@@ -148,7 +148,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := NewExact()
+		ex := &Exact{}
 		opt, err := ex.Solve(ctx, in)
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +171,7 @@ func TestExactScalesBeyondBruteForce(t *testing.T) {
 	// of reach, but branch and bound closes it.
 	r := rand.New(rand.NewSource(26))
 	in := randomInstance(r, 18, 5, 2)
-	ex := NewExact()
+	ex := &Exact{}
 	a, err := ex.Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestExactContextCancel(t *testing.T) {
 	in := randomInstance(r, 30, 10, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ex := NewExact()
+	ex := &Exact{}
 	a, err := ex.Solve(ctx, in)
 	if err != nil {
 		t.Fatal(err)

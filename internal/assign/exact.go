@@ -32,9 +32,6 @@ type Exact struct {
 	Optimal bool
 }
 
-// NewExact returns a branch-and-bound optimal solver.
-func NewExact() *Exact { return &Exact{} }
-
 // Name implements Solver.
 func (s *Exact) Name() string { return "EXACT" }
 

@@ -108,19 +108,16 @@ func (s *GT) Name() string {
 
 // Solve implements Solver.
 func (s *GT) Solve(ctx context.Context, in *model.Instance) (*model.Assignment, error) {
-	return s.solve(ctx, in, nil)
+	return s.solve(ctx, in)
 }
 
-// SolveWarm implements WarmStarter: the warm cache accelerates the TPG
-// initialization of Algorithm 3 line 1 only. Best-response dynamics from an
-// identical initial assignment replay identically, so the output matches a
-// cold Solve exactly; warm-starting from the previous round's *equilibrium*
-// would change the dynamics and is deliberately not done.
-func (s *GT) SolveWarm(ctx context.Context, in *model.Instance, warm *Warm) (*model.Assignment, error) {
-	return s.solve(ctx, in, warm)
+// SolveWarm implements WarmStarter; it is Solve (see Warm for why the
+// method stays).
+func (s *GT) SolveWarm(ctx context.Context, in *model.Instance, _ *Warm) (*model.Assignment, error) {
+	return s.Solve(ctx, in)
 }
 
-func (s *GT) solve(ctx context.Context, in *model.Instance, warm *Warm) (*model.Assignment, error) {
+func (s *GT) solve(ctx context.Context, in *model.Instance) (*model.Assignment, error) {
 	ar := s.Arena
 	if ar == nil {
 		ar = NewArena()
@@ -135,7 +132,7 @@ func (s *GT) solve(ctx context.Context, in *model.Instance, warm *Warm) (*model.
 		// The initialization shares the arena; run calls ar.begin(), so the
 		// reuse statistics count one solve for the whole GT run.
 		var c tpgCounters
-		a = s.inner.run(ctx, in, warm, ar, &c)
+		a = s.inner.run(ctx, in, ar, &c)
 		init = &c
 	}
 	if ctx.Err() != nil {

@@ -58,11 +58,6 @@ const (
 	// came from the task's ranked runners-up list instead of a full pair
 	// scan (TPG).
 	MetricTPGSeedReuses = "casc_tpg_seed_reuses_total"
-	// MetricTPGWarmHits / MetricTPGWarmMisses count stage-one iteration-0
-	// subsets served from (or recomputed into) a cross-round Warm cache
-	// (TPG under SolveWarm).
-	MetricTPGWarmHits   = "casc_tpg_warm_hits_total"
-	MetricTPGWarmMisses = "casc_tpg_warm_misses_total"
 
 	// MetricArenaReuses counts solves served by an already-used scratch
 	// arena — the zero-allocation steady state (TPG and GT families).
@@ -128,32 +123,6 @@ func (i *instrumented) Solve(ctx context.Context, in *model.Instance) (*model.As
 	lbl := metrics.L("solver", i.inner.Name())
 	start := now()
 	a, err := i.inner.Solve(ctx, in)
-	i.reg.Histogram(MetricSolveSeconds, "Solver wall time per batch in seconds.",
-		metrics.LatencyBuckets(), lbl).Observe(now().Sub(start).Seconds())
-	i.reg.Counter(MetricSolves, "Solve calls.", lbl).Inc()
-	if err != nil {
-		i.reg.Counter(MetricSolveErrors, "Solve calls that failed.", lbl).Inc()
-		return a, err
-	}
-	if a != nil {
-		i.reg.Histogram(MetricSolveScore, "Total cooperation score per batch.",
-			metrics.ScoreBuckets(), lbl).Observe(a.TotalScore(in))
-	}
-	return a, nil
-}
-
-// SolveWarm implements WarmStarter by forwarding the warm cache to the
-// wrapped solver when it supports warm starts, recording the same series as
-// Solve. A non-warm inner solver just solves cold — the wrapper therefore
-// always satisfies WarmStarter without changing any result.
-func (i *instrumented) SolveWarm(ctx context.Context, in *model.Instance, warm *Warm) (*model.Assignment, error) {
-	ws, ok := i.inner.(WarmStarter)
-	if !ok || warm == nil {
-		return i.Solve(ctx, in)
-	}
-	lbl := metrics.L("solver", i.inner.Name())
-	start := now()
-	a, err := ws.SolveWarm(ctx, in, warm)
 	i.reg.Histogram(MetricSolveSeconds, "Solver wall time per batch in seconds.",
 		metrics.LatencyBuckets(), lbl).Observe(now().Sub(start).Seconds())
 	i.reg.Counter(MetricSolves, "Solve calls.", lbl).Inc()

@@ -60,31 +60,28 @@ type tpgCounters struct {
 	heapPushes      uint64
 	heapPops        uint64
 	staleReevals    uint64
-	warmHits        uint64
-	warmMisses      uint64
 	seedReuses      uint64
 }
 
 // Solve implements Solver.
 func (s *TPG) Solve(ctx context.Context, in *model.Instance) (*model.Assignment, error) {
-	return s.solve(ctx, in, nil)
+	return s.solve(ctx, in)
 }
 
-// SolveWarm implements WarmStarter: identical output to Solve, with stage
-// one's iteration-0 best-B-subsets served from the cache on exact
-// fingerprint hits (see Warm) and refreshed into it on misses.
-func (s *TPG) SolveWarm(ctx context.Context, in *model.Instance, warm *Warm) (*model.Assignment, error) {
-	return s.solve(ctx, in, warm)
+// SolveWarm implements WarmStarter; it is Solve (see Warm for why the
+// method stays).
+func (s *TPG) SolveWarm(ctx context.Context, in *model.Instance, _ *Warm) (*model.Assignment, error) {
+	return s.Solve(ctx, in)
 }
 
-func (s *TPG) solve(ctx context.Context, in *model.Instance, warm *Warm) (*model.Assignment, error) {
+func (s *TPG) solve(ctx context.Context, in *model.Instance) (*model.Assignment, error) {
 	ar := s.Arena
 	if ar == nil {
 		ar = NewArena()
 	}
 	reuses0, grows0 := ar.reuses, ar.grows
 	var c tpgCounters
-	a := s.run(ctx, in, warm, ar, &c)
+	a := s.run(ctx, in, ar, &c)
 	if s.Metrics != nil {
 		c.record(s.Metrics, s.Name())
 		recordArenaMetrics(s.Metrics, s.Name(), ar.reuses-reuses0, ar.grows-grows0)
@@ -94,12 +91,12 @@ func (s *TPG) solve(ctx context.Context, in *model.Instance, warm *Warm) (*model
 
 // run is one TPG solve on ar, counting into c. It opens the arena's solve
 // (ar.begin), so a GT run that starts with it counts as one solve.
-func (s *TPG) run(ctx context.Context, in *model.Instance, warm *Warm, ar *Arena, c *tpgCounters) *model.Assignment {
+func (s *TPG) run(ctx context.Context, in *model.Instance, ar *Arena, c *tpgCounters) *model.Assignment {
 	ar.begin()
 	a := ar.assignmentFor(in)
 	groups := ar.groupsFor(in)
 	avail := ar.boolsFor(&ar.avail, len(in.Workers), true)
-	served := s.stageOne(ctx, in, a, groups, avail, ar, c, warm)
+	served := s.stageOne(ctx, in, a, groups, avail, ar, c)
 	if ctx.Err() == nil {
 		s.stageTwo(ctx, in, a, groups, avail, served, ar, c)
 	}
@@ -114,8 +111,6 @@ func (c *tpgCounters) record(reg *metrics.Registry, solver string) {
 	reg.Counter(MetricTPGHeapPushes, "Stage-two heap pushes.", lbl).Add(c.heapPushes)
 	reg.Counter(MetricTPGHeapPops, "Stage-two heap pops.", lbl).Add(c.heapPops)
 	reg.Counter(MetricTPGStaleReevals, "Stage-two stale deltas re-evaluated.", lbl).Add(c.staleReevals)
-	reg.Counter(MetricTPGWarmHits, "Stage-one iteration-0 subsets served from the warm cache.", lbl).Add(c.warmHits)
-	reg.Counter(MetricTPGWarmMisses, "Stage-one iteration-0 subsets recomputed into the warm cache.", lbl).Add(c.warmMisses)
 	reg.Counter(MetricTPGSeedReuses, "Stage-one subset refreshes seeded from the ranked runners-up.", lbl).Add(c.seedReuses)
 }
 
@@ -144,7 +139,7 @@ func newGroups(in *model.Instance) []*model.GroupScore {
 
 // stageOne runs Algorithm 2 lines 1-14 and returns the set of tasks that
 // received a B-worker set.
-func (s *TPG) stageOne(ctx context.Context, in *model.Instance, a *model.Assignment, groups []*model.GroupScore, avail []bool, ar *Arena, c *tpgCounters, warm *Warm) []bool {
+func (s *TPG) stageOne(ctx context.Context, in *model.Instance, a *model.Assignment, groups []*model.GroupScore, avail []bool, ar *Arena, c *tpgCounters) []bool {
 	n := len(in.Tasks)
 	served := ar.boolsFor(&ar.served, n, false)
 	remaining := ar.boolsFor(&ar.remaining, n, true)
@@ -161,31 +156,6 @@ func (s *TPG) stageOne(ctx context.Context, in *model.Instance, a *model.Assignm
 		candCount[t] = len(in.TaskCand[t])
 	}
 	ar.seedsFor(n)
-
-	if warm != nil {
-		// Iteration-0 sweep: with every worker still available, each task's
-		// best B-subset is a pure function of its candidate sequence,
-		// capacity, B and the quality rows — exactly the fingerprint a Warm
-		// entry pins. Hits replay the cached subset (in its original greedy
-		// commit order) bit for bit; misses compute as usual and refresh the
-		// cache. The main loop below then starts with nothing dirty, just as
-		// a cold solve does after its own first pass.
-		for t := 0; t < n; t++ {
-			if ctx.Err() != nil {
-				return served
-			}
-			if wt := warm.lookup(in, t); wt != nil {
-				bestSet[t], bestScore[t] = wt.apply(in, t, ar.setSlot(t))
-				c.warmHits++
-			} else {
-				bestSet[t], bestScore[t] = s.bestBSubset(in, t, avail, ar, c)
-				warm.store(in, t, bestSet[t], bestScore[t])
-				c.subsetRefreshes++
-				c.warmMisses++
-			}
-			dirty[t] = false
-		}
-	}
 
 	for {
 		if ctx.Err() != nil {

@@ -208,8 +208,7 @@ func TestGTFlushesTPGInitCounters(t *testing.T) {
 	tpgLbl, gtLbl := metrics.L("solver", tpg.Name()), metrics.L("solver", gt.Name())
 	for _, name := range []string{
 		MetricTPGSubsetRefreshes, MetricTPGSubsetSkips, MetricTPGHeapPushes,
-		MetricTPGHeapPops, MetricTPGStaleReevals, MetricTPGWarmHits, MetricTPGWarmMisses,
-		MetricTPGSeedReuses,
+		MetricTPGHeapPops, MetricTPGStaleReevals, MetricTPGSeedReuses,
 	} {
 		want, ok := ts.Counter(name, tpgLbl)
 		if !ok {

@@ -147,10 +147,10 @@ type Config struct {
 	// Incremental replaces the per-round rebuild-and-solve with the
 	// persistent cross-round engine of internal/incremental: the candidate
 	// graph is maintained under churn, only components touched since the
-	// previous round are re-solved (warm-starting the solver), and clean
-	// components carry their assignment forward. For deterministic solvers
-	// (TPG, GT, GT+LUB) every round's score and assignment is bitwise
-	// identical to the default path.
+	// previous round are re-solved, and clean components carry their
+	// assignment forward. For deterministic solvers (TPG, GT, GT+LUB)
+	// every round's score and assignment is bitwise identical to the
+	// default path.
 	Incremental bool
 }
 
@@ -506,7 +506,7 @@ func (s *sim) run(ctx context.Context, st stage) (*Result, error) {
 
 			// Plan the round and attach the quality model (a fixed function
 			// of worker external IDs, which is what licenses the engine's
-			// carry and warm reuse).
+			// carry).
 			in = st.Plan().In
 			ids := make([]int, len(in.Workers))
 			for i, w := range in.Workers {

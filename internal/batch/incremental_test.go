@@ -10,7 +10,6 @@ import (
 	"casc/internal/assign"
 	"casc/internal/coop"
 	"casc/internal/geo"
-	"casc/internal/incremental"
 	"casc/internal/metrics"
 	"casc/internal/model"
 	"casc/internal/resilience"
@@ -312,18 +311,5 @@ func TestIncrementalMetricsDoNotChangeSolve(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestIncrementalWarmEntriesGauge(t *testing.T) {
-	// Commit gauges the warm cache after its prune; on churn the cache
-	// holds the live tasks' entries, and the rounds stay bitwise equal to
-	// the from-scratch path.
-	reg := metrics.NewRegistry()
-	cfg := Config{Solver: assign.NewTPG(), Rounds: 12, B: 3, ServiceDuration: 2, Metrics: reg}
-	base, inc, baseTr, incTr := runBoth(t, cfg, churnSource(12, 7))
-	assertBitwiseEqual(t, base, inc, baseTr, incTr)
-	if entries, ok := reg.Snapshot().Gauge(incremental.MetricWarmEntries); !ok || entries == 0 {
-		t.Fatalf("warm entries gauge %v (registered %v), want the cache of the live tasks", entries, ok)
 	}
 }

@@ -5,7 +5,7 @@
 // dispatches, and deadline decay, tracks which connected components were
 // touched since the previous round, and re-solves only those — carrying the
 // previous assignment of every clean component forward verbatim and
-// warm-starting the solvers on the dirty ones. A round costs in proportion
+// solving each dirty one on its own. A round costs in proportion
 // to what changed: BeginRound visits only the tasks whose schedule falls
 // due, and Plan rewrites only the instance positions and candidate lists
 // that moved.
@@ -70,7 +70,8 @@ type Config struct {
 	// (the shard tier's ordering); default is arrival order with
 	// order-preserving compaction (the batch tier's ordering).
 	OrderByID bool
-	// Carry enables clean-component carry-forward and solver warm-starts.
+	// Carry enables clean-component carry-forward: a component no change
+	// touched replays its recorded groups instead of being re-solved.
 	// It requires the caller's Quality model to be a fixed function of
 	// worker external IDs across rounds; callers that cannot promise that
 	// (the shard tier's mutating history) leave it off and still get
@@ -200,13 +201,6 @@ type Engine struct {
 	// solved lists the components Solve re-solved this round.
 	solved []*component
 
-	warm *assign.Warm
-	// liveIDs counts live tasks per external ID (the warm cache's key);
-	// goneIDs lists the IDs whose count fell to zero since the last
-	// Commit, which then forgets their warm entries. Kept only under
-	// Carry.
-	liveIDs map[int]int
-	goneIDs []int
 	// arena is the engine-owned solver scratch, attached to every
 	// per-component fork in Solve. Components are solved serially and each
 	// arena-owned result is lifted into the round assignment before the
@@ -260,10 +254,6 @@ func New(cfg Config) *Engine {
 	}
 	// Non-nil even when empty: a nil WorkerCand reads as "not built".
 	e.in.WorkerCand, e.in.TaskCand = [][]int{}, [][]int{}
-	if cfg.Carry {
-		e.warm = assign.NewWarm()
-		e.liveIDs = make(map[int]int)
-	}
 	return e
 }
 
@@ -514,15 +504,6 @@ func (e *Engine) dropTask(ts *taskState) {
 	e.kill(ts.comp)
 	e.tGrid.Delete(ts.t.Loc, ts.uid)
 	delete(e.tByUID, ts.uid)
-	if e.liveIDs != nil {
-		id := ts.t.ID
-		if n := e.liveIDs[id] - 1; n > 0 {
-			e.liveIDs[id] = n
-		} else {
-			delete(e.liveIDs, id)
-			e.goneIDs = append(e.goneIDs, id)
-		}
-	}
 }
 
 // dropWorker removes ws's edges and index entries; Commit has marked it
@@ -634,9 +615,6 @@ func (e *Engine) AddTask(t model.Task) {
 	e.tGrid.Insert(t.Loc, ts.uid)
 	e.schedule(ts)
 	e.markTaskDirty(ts)
-	if e.liveIDs != nil {
-		e.liveIDs[t.ID]++
-	}
 
 	e.searchBuf = e.wGrid.SearchCircle(t.Loc, e.maxRadius, e.searchBuf[:0])
 	for _, uid := range e.searchBuf {
@@ -1025,10 +1003,10 @@ func (e *Engine) kill(c *component) {
 
 // Solve produces the round's assignment: clean components replay their
 // recorded groups, dirty components are re-solved on their sub-instance
-// (warm-started under Carry, and over a dense quality block where that
-// pays) and lifted back. The caller must have set
-// Quality on the planned instance. For deterministic solvers the result is
-// bitwise identical to solver.Solve on the full instance.
+// (over a dense quality block where that pays) and lifted back. The
+// caller must have set Quality on the planned instance. For deterministic
+// solvers the result is bitwise identical to solver.Solve on the full
+// instance.
 func (e *Engine) Solve(ctx context.Context, solver assign.Solver) (*model.Assignment, error) {
 	r := &e.round
 	a := model.NewAssignment(r.In)
@@ -1064,7 +1042,7 @@ func (e *Engine) Solve(ctx context.Context, solver assign.Solver) (*model.Assign
 				h.SetArena(e.arena)
 			}
 		}
-		sa, err := assign.SolveMaybeWarm(ctx, s, sub, e.warm)
+		sa, err := s.Solve(ctx, sub)
 		if err != nil {
 			return nil, err
 		}
@@ -1178,7 +1156,7 @@ func (e *Engine) Upper() float64 {
 // Commit ends the round: it records the assignment of every re-solved
 // component that keeps all its members, clears the consumed dirty state,
 // removes the dispatched/departed entities (given as positions in the
-// planned instance), and prunes the warm cache. Neighbors of removed
+// planned instance). Neighbors of removed
 // entities become dirty for the next round, and their components are
 // dropped.
 func (e *Engine) Commit(a *model.Assignment, removeWorkers, removeTasks []int) {
@@ -1251,21 +1229,6 @@ func (e *Engine) Commit(a *model.Assignment, removeWorkers, removeTasks []int) {
 		clear(e.tasks[n:])
 		e.tasks = e.tasks[:n]
 		e.lowT = min(e.lowT, first)
-	}
-
-	if e.warm != nil {
-		// Every warm entry was stored by a solve of a then-live task, so
-		// forgetting the IDs that lost their last live task since the
-		// previous Commit leaves exactly the entries of live IDs.
-		for _, id := range e.goneIDs {
-			if e.liveIDs[id] == 0 {
-				e.warm.Forget(id)
-			}
-		}
-		e.goneIDs = e.goneIDs[:0]
-		if e.em != nil {
-			e.em.warmEntries.Set(float64(e.warm.Len()))
-		}
 	}
 	e.round.In = nil
 }

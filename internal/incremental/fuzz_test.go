@@ -31,16 +31,14 @@ import (
 //     instance of the script's population,
 //  2. the engine's assignment is bitwise identical to solving that fresh
 //     instance directly (dirty-set completeness: a missed dirty component
-//     would carry a stale assignment and diverge), and
+//     would carry a stale assignment and diverge),
 //  3. every component carried as clean has an identical membership and
 //     edge fingerprint to the previous round (dirty-set soundness of the
 //     carry decision, independent of whether the solver output happens to
-//     coincide), and
-//  4. the warm cache's key set after each Commit is the one the former
-//     whole-population prune (OraclePrunedIDs) leaves,
-//  5. the planned components equal partition.Components on the fresh
+//     coincide),
+//  4. the planned components equal partition.Components on the fresh
 //     instance: membership, member order, Pairs and component order, and
-//  6. the engine's UPPER is bitwise assign.Upper on the fresh instance.
+//  5. the engine's UPPER is bitwise assign.Upper on the fresh instance.
 //
 // A script starts in the batch tier's configuration (arrival order,
 // Carry) with external IDs equal to arrival indices. A first byte of
@@ -189,7 +187,7 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 				t.Fatalf("round %d: TaskCand diverges from fresh build: %v", round, err)
 			}
 
-			// Oracle 5: the maintained components equal a fresh partition.
+			// Oracle 4: the maintained components equal a fresh partition.
 			if err := compsEqual(r.Comps, partition.Components(fresh)); err != nil {
 				t.Fatalf("round %d: components diverge from partition.Components: %v", round, err)
 			}
@@ -238,7 +236,7 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 			}
 			prevFP = curFP
 
-			// Oracle 6: UPPER with carried q̂ equals the full pass bitwise.
+			// Oracle 5: UPPER with carried q̂ equals the full pass bitwise.
 			if g, w := eng.Upper(), assign.Upper(fresh); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("round %d: engine UPPER %v != assign.Upper %v", round, g, w)
 			}
@@ -255,15 +253,9 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 					remT = append(remT, j)
 				}
 			}
-			before := incremental.WarmIDs(eng)
 			eng.Commit(a, remW, remT)
 			liveW = removeAt(liveW, remW)
 			liveT = removeAt(liveT, remT)
-
-			// Oracle 4: the O(removed) prune keeps what the old prune kept.
-			if got, want := incremental.WarmIDs(eng), incremental.OraclePrunedIDs(eng, before); !slices.Equal(got, want) {
-				t.Fatalf("round %d: warm IDs after Commit %v, old prune keeps %v", round, got, want)
-			}
 		}
 	})
 }

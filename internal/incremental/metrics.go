@@ -18,9 +18,6 @@ const (
 	// MetricEdgesDropped counts candidate edges dropped permanently (slack
 	// passed travel time) or by endpoint removal.
 	MetricEdgesDropped = "casc_incremental_edges_dropped_total"
-	// MetricWarmEntries gauges the TPG warm-start cache's entries after
-	// each Commit's prune.
-	MetricWarmEntries = "casc_incremental_warm_entries"
 )
 
 // engineMetrics resolves the engine's metric handles once at construction.
@@ -31,7 +28,6 @@ type engineMetrics struct {
 	edges        *metrics.Gauge
 	edgesAdded   *metrics.Counter
 	edgesDropped *metrics.Counter
-	warmEntries  *metrics.Gauge
 }
 
 func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
@@ -45,6 +41,5 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 		edges:        reg.Gauge(MetricEdges, "Live candidate edges (active and time-gated)."),
 		edgesAdded:   reg.Counter(MetricEdgesAdded, "Candidate edges discovered on arrival."),
 		edgesDropped: reg.Counter(MetricEdgesDropped, "Candidate edges dropped (deadline passed travel time or endpoint removed)."),
-		warmEntries:  reg.Gauge(MetricWarmEntries, "TPG warm-start cache entries after the round's prune."),
 	}
 }

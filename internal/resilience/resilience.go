@@ -176,19 +176,7 @@ type Outcome struct {
 // are fallbacks and the empty assignment is the feasibility floor, so the
 // batch loop keeps its round cadence no matter what the rungs do.
 func (l *Ladder) Solve(ctx context.Context, in *model.Instance) (*model.Assignment, error) {
-	a, _ := l.solveBudgeted(ctx, in, nil)
-	return a, nil
-}
-
-// SolveWarm implements assign.WarmStarter: the warm cache is forwarded to
-// the primary rung only, and only when that rung runs synchronously (zero
-// budget slice). Under a positive budget the watchdog may abandon a rung
-// goroutine that is still mid-solve; letting it keep a reference to the
-// unsynchronized cache would race with the next round, so budgeted rungs
-// always solve cold. Either way the result is bitwise identical to Solve —
-// warm starts are strictly output-preserving.
-func (l *Ladder) SolveWarm(ctx context.Context, in *model.Instance, warm *assign.Warm) (*model.Assignment, error) {
-	a, _ := l.solveBudgeted(ctx, in, warm)
+	a, _ := l.SolveBudgeted(ctx, in)
 	return a, nil
 }
 
@@ -202,10 +190,6 @@ type rungResult struct {
 // callers that must act on degradation (the HTTP platform's 503 path) can
 // distinguish a clean solve from a fallback or an exhausted budget.
 func (l *Ladder) SolveBudgeted(ctx context.Context, in *model.Instance) (*model.Assignment, Outcome) {
-	return l.solveBudgeted(ctx, in, nil)
-}
-
-func (l *Ladder) solveBudgeted(ctx context.Context, in *model.Instance, warm *assign.Warm) (*model.Assignment, Outcome) {
 	start := now()
 	out := Outcome{Rung: FloorRung, RungIndex: -1}
 	best := model.NewAssignment(in) // the always-feasible floor
@@ -233,11 +217,7 @@ func (l *Ladder) solveBudgeted(ctx context.Context, in *model.Instance, warm *as
 		}
 
 		rungStart := now()
-		rungWarm := warm
-		if i > 0 {
-			rungWarm = nil // only the primary rung's output benefits
-		}
-		r, timedOut, abandoned := l.runRung(ctx, rung, in, slice, rungWarm)
+		r, timedOut, abandoned := l.runRung(ctx, rung, in, slice)
 		l.observeRung(rung.Name(), now().Sub(rungStart))
 		if timedOut {
 			l.countOverrun(rung.Name())
@@ -306,13 +286,11 @@ func (l *Ladder) solveBudgeted(ctx context.Context, in *model.Instance, warm *as
 // grace for the partial result; a rung silent past the grace is abandoned
 // — its goroutine drains on its own once it observes the cancelled
 // context, and its eventual result is discarded unread.
-func (l *Ladder) runRung(ctx context.Context, rung assign.Solver, in *model.Instance, slice time.Duration, warm *assign.Warm) (r rungResult, timedOut, abandoned bool) {
+func (l *Ladder) runRung(ctx context.Context, rung assign.Solver, in *model.Instance, slice time.Duration) (r rungResult, timedOut, abandoned bool) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	if slice <= 0 {
-		// Synchronous path: no watchdog goroutine can outlive this call, so
-		// it is the only place the unsynchronized warm cache may be used.
-		a, err := assign.SolveMaybeWarm(rctx, rung, in, warm)
+		a, err := rung.Solve(rctx, in)
 		return rungResult{a, err}, false, false
 	}
 	done := make(chan rungResult, 1)
