@@ -15,6 +15,7 @@ import (
 	"casc/internal/assign"
 	"casc/internal/coop"
 	"casc/internal/harness"
+	"casc/internal/model"
 )
 
 // benchScale keeps one full figure sweep around a second.
@@ -170,8 +171,8 @@ func BenchmarkAblationQualityModel(b *testing.B) {
 		{"synthetic", fixed(base.Quality)},
 		{"matrix", fixed(matrix)},
 		{"jaccard", fixed(NewQualityJaccard(groups))},
-		{"history", fixed(coop.NewSubset(hist, ids))},
-		{"cached-history", func() QualityModel { return coop.NewCached(coop.NewSubset(hist, ids)) }},
+		{"history", fixed(model.NewSubset(hist, ids))},
+		{"cached-history", func() QualityModel { return coop.NewCached(model.NewSubset(hist, ids)) }},
 	}
 	ctx := context.Background()
 	for _, m := range models {

@@ -176,15 +176,8 @@ func NewQualityJaccard(groups [][]int) *QualityJaccard { return coop.NewJaccard(
 // NewQualityCache memoizes an expensive quality model per unordered pair;
 // wrap Jaccard or History models before handing them to solvers.
 func NewQualityCache(base QualityModel) QualityModel {
-	return coop.NewCached(coopModelAdapter{base})
+	return coop.NewCached(base)
 }
-
-// coopModelAdapter bridges the structurally identical model.QualityModel
-// and coop.Model interfaces.
-type coopModelAdapter struct{ q QualityModel }
-
-func (c coopModelAdapter) Quality(i, k int) float64 { return c.q.Quality(i, k) }
-func (c coopModelAdapter) NumWorkers() int          { return c.q.NumWorkers() }
 
 // Batch framework (Algorithm 1, §III).
 type (

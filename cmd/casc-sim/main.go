@@ -53,7 +53,7 @@ func main() {
 		traceF   = flag.String("trace", "", "with -rounds: record per-batch JSONL trace to this file")
 		metricsF = flag.String("metrics", "", "write the final metrics snapshot as JSON to this file")
 		budget   = flag.Duration("budget", 0, "per-round solve budget; overruns fall through the anytime ladder (solver → TPG → RAND → empty floor)")
-		shards   = flag.Int("shards", 0, "with -rounds: drive the region-sharded cluster tier with this many spatial shards (0: monolithic batch pipeline)")
+		shards   = flag.Int("shards", 0, "with -rounds: drive the region-sharded cluster tier with this many spatial shards; its -m workers register once, at round 0, and -n tasks arrive every round (0: monolithic batch pipeline)")
 		incr     = flag.Bool("incremental", false, "with -rounds: solve through the persistent incremental engine (dirty-component re-solve; bitwise identical rounds for deterministic solvers)")
 		chaos    = flag.Bool("chaos", false, "inject seeded deterministic faults into every ladder rung (rehearsal mode; seeded by -seed)")
 		chFail   = flag.Float64("chaos-fail", 1.0, "with -chaos: probability a rung solve fails outright")
@@ -159,11 +159,7 @@ func main() {
 		s = assign.Instrument(s, reg)
 		var ladder *resilience.Ladder
 		if *budget > 0 || chaosCfg != nil {
-			rungs := resilience.Chain(s, *seed)
-			if chaosCfg != nil {
-				rungs = resilience.WithChaos(rungs, *chaosCfg)
-			}
-			ladder, err = resilience.NewLadder(resilience.Config{Budget: *budget, Metrics: reg}, rungs...)
+			ladder, err = resilience.NewChainLadder(resilience.Config{Budget: *budget, Metrics: reg}, s, *seed, chaosCfg)
 			if err != nil {
 				fatal(err)
 			}
@@ -420,7 +416,7 @@ func simulateShards(ctx context.Context, solverName string, m, n int, seed int64
 			fatal(err)
 		}
 	}
-	fmt.Printf("sharded simulation: %d shards, %d rounds, %d workers, %d tasks arriving per round\n\n",
+	fmt.Printf("sharded simulation: %d shards, %d rounds, %d workers registered at round 0, %d tasks arriving per round\n\n",
 		k, rounds, m, n)
 	var dispatched, expired, exhausted int
 	var score float64

@@ -15,12 +15,12 @@
 package batch
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
 
 	"casc/internal/assign"
-	"casc/internal/coop"
 	"casc/internal/incremental"
 	"casc/internal/metrics"
 	"casc/internal/model"
@@ -260,20 +260,13 @@ func newSim(cfg Config, src Source) (*sim, error) {
 		cfg.ServiceDuration = 1
 	}
 	solver := cfg.Solver
+	if cfg.Chaos != nil {
+		cc := *cfg.Chaos // a copy: the caller's config stays as it was
+		cc.Seed, cc.Metrics = cfg.Seed, cmp.Or(cc.Metrics, cfg.Metrics)
+		cfg.Chaos = &cc
+	}
 	if cfg.RoundBudget > 0 || cfg.Chaos != nil {
-		rungs := resilience.Chain(solver, cfg.Seed)
-		if cfg.Chaos != nil {
-			cc := *cfg.Chaos
-			cc.Seed = cfg.Seed
-			if cc.Metrics == nil {
-				cc.Metrics = cfg.Metrics
-			}
-			rungs = resilience.WithChaos(rungs, cc)
-		}
-		ladder, err := resilience.NewLadder(resilience.Config{
-			Budget:  cfg.RoundBudget,
-			Metrics: cfg.Metrics,
-		}, rungs...)
+		ladder, err := resilience.NewChainLadder(resilience.Config{Budget: cfg.RoundBudget, Metrics: cfg.Metrics}, solver, cfg.Seed, cfg.Chaos)
 		if err != nil {
 			return nil, err
 		}
@@ -508,11 +501,7 @@ func (s *sim) run(ctx context.Context, st stage) (*Result, error) {
 			// of worker external IDs, which is what licenses the engine's
 			// carry).
 			in = st.Plan().In
-			ids := make([]int, len(in.Workers))
-			for i, w := range in.Workers {
-				ids[i] = w.ID
-			}
-			in.Quality = coop.NewSubset(s.quality, ids)
+			in.Quality = model.WorkerSubset(s.quality, in.Workers)
 			bs.Build = time.Since(buildStart)
 
 			start := time.Now()
@@ -667,17 +656,7 @@ func (s *sim) traceRound(round int, now float64, bs *BatchStats, upper, elapsedM
 		ElapsedMS: elapsedMS,
 	}
 	if a != nil {
-		for ti, ws := range a.TaskWorkers {
-			if len(ws) < s.cfg.B {
-				continue
-			}
-			for _, wi := range ws {
-				rec.Pairs = append(rec.Pairs, model.Pair{
-					Worker: in.Workers[wi].ID,
-					Task:   in.Tasks[ti].ID,
-				})
-			}
-		}
+		rec.Pairs = a.DispatchedPairs(in)
 	}
 	return s.cfg.Trace.Append(rec)
 }

@@ -288,7 +288,7 @@ func (tr *Trace) Sample(r *rand.Rand, p SampleParams, now float64) (*model.Insta
 			Deadline: now + p.RemainingTime,
 		})
 	}
-	in.Quality = coop.NewSubset(tr.Quality(), users)
+	in.Quality = model.WorkerSubset(tr.Quality(), in.Workers)
 	in.BuildCandidates(model.IndexRTree)
 	return in, nil
 }

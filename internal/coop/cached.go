@@ -5,8 +5,9 @@ package coop
 // search, and the solvers evaluate the same pairs many times (TPG's
 // best-B-subset search, GT's best responses), so a per-instance memo pays
 // for itself quickly. On the serving tiers most reads go to per-task
-// blocks instead (model.Instance.FillBlocks), which bypass the memo: the
-// memo serves the tasks that have no block and the budgeted solves.
+// blocks instead (model.Instance.FillBlocks), filled before the memo is
+// made: the memo serves the tasks that have no block and the budgeted
+// solves, and never reads a block itself.
 // Cached is NOT safe for concurrent use; solvers are single-goroutine per
 // instance.
 //
@@ -101,17 +102,6 @@ func (c *Cached) grow() {
 		}
 		c.slots[h] = s
 	}
-}
-
-// QualityBlock implements model.BlockModel. It bypasses the memo: it hands
-// the block to the base model's QualityBlock when the base has one, and
-// reads it through the memo pair by pair otherwise.
-func (c *Cached) QualityBlock(ids []int, dst []float64) {
-	if b, ok := c.Base.(blockReader); ok {
-		b.QualityBlock(ids, dst)
-		return
-	}
-	readPairs(c, ids, dst)
 }
 
 // NumWorkers implements Model.

@@ -30,25 +30,6 @@ type Model interface {
 	NumWorkers() int
 }
 
-// blockReader is the method of model.BlockModel: QualityBlock sets
-// dst[a·n+b] to Quality(ids[a], ids[b]) for n strictly ascending IDs.
-// Subset and Cached forward it to the model they wrap when it has one.
-type blockReader interface {
-	QualityBlock(ids []int, dst []float64)
-}
-
-// readPairs fills dst as QualityBlock does, one Quality call per ordered
-// pair, row by row, the diagonal included.
-func readPairs(m Model, ids []int, dst []float64) {
-	n := len(ids)
-	for a, x := range ids {
-		row := dst[a*n : (a+1)*n]
-		for b, y := range ids {
-			row[b] = m.Quality(x, y)
-		}
-	}
-}
-
 // Matrix is a dense symmetric quality matrix. Suitable for small instances
 // and tests; at m workers it stores m^2 float64s.
 type Matrix struct {

@@ -352,14 +352,14 @@ func historyRound(registered, nW, nT, rated int) (*model.Instance, *History, []i
 	for pairs < rated {
 		rate(r.Intn(registered), r.Intn(registered))
 	}
-	in.Quality = NewSubset(h, ids)
+	in.Quality = model.NewSubset(h, ids)
 	return in, h, ids
 }
 
 // TestFillBlocksAllocsFlat: a fill through a fresh Subset, as each serving
-// round makes one, and through a sub-instance of it, as each shard's
-// solve does, allocates the same at 40 and at 160 tasks: the mapped IDs
-// of every task go into one scratch slice per view.
+// round makes one, and through a sub-instance of it, whose Subset maps
+// its IDs onto the round's, allocates the same at 40 and at 160 tasks:
+// the mapped IDs of every task go into one scratch slice per view.
 func TestFillBlocksAllocsFlat(t *testing.T) {
 	allocs := func(nT int, sub bool) float64 {
 		in, h, ids := historyRound(600, 400, nT, 5000)
@@ -372,7 +372,7 @@ func TestFillBlocksAllocsFlat(t *testing.T) {
 			tasks = append(tasks, j)
 		}
 		return testing.AllocsPerRun(10, func() {
-			in.Quality = NewSubset(h, ids)
+			in.Quality = model.NewSubset(h, ids)
 			fill := in
 			if sub {
 				fill, _ = in.SubInstance(all, tasks)

@@ -122,9 +122,7 @@ func (o Options) decorate(s assign.Solver) assign.Solver {
 	if o.Budget <= 0 {
 		return s
 	}
-	l, err := resilience.NewLadder(
-		resilience.Config{Budget: o.Budget, Metrics: o.Metrics},
-		resilience.Chain(s, o.Seed)...)
+	l, err := resilience.NewChainLadder(resilience.Config{Budget: o.Budget, Metrics: o.Metrics}, s, o.Seed, nil)
 	if err != nil {
 		panic(err) // unreachable: Chain always yields ≥ 1 rung
 	}

@@ -106,9 +106,10 @@ func planned(b int, ws []model.Worker, ts []model.Task, q model.QualityModel) (*
 }
 
 // TestBlockBits: a solve reads every quality of an eligible component,
-// diagonal included, with the bits of the layered model it replaces, over
-// an asymmetric table with NaN, ±0 and negative entries; and it reads them
-// from the block, without a call to the model.
+// diagonal included, with the bits of the layered model it replaces (the
+// sub-instance's Subset, whose diagonal is 0), over an asymmetric table
+// with NaN, ±0 and negative entries; and it reads them from the block,
+// without a call to the model.
 func TestBlockBits(t *testing.T) {
 	ws, ts := site(geo.Pt(0.5, 0.5), 30, 2)
 	base := &countingModel{base: palette(len(ws))}
@@ -117,6 +118,7 @@ func TestBlockBits(t *testing.T) {
 		t.Fatalf("planned %d components, want one holding all %d workers", len(r.Comps), len(ws))
 	}
 	members := r.Comps[0].Workers
+	layered := model.NewSubset(palette(len(ws)), members)
 	checked := 0
 	s := &within{base: base, Solver: probe(func(in *model.Instance) {
 		n := in.Quality.NumWorkers()
@@ -126,7 +128,7 @@ func TestBlockBits(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for k := 0; k < n; k++ {
 				got := in.Quality.Quality(i, k)
-				want := palette(len(ws)).Quality(members[i], members[k])
+				want := layered.Quality(i, k)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("Quality(%d, %d) = %v (%#x), the layered model gives %v (%#x)",
 						i, k, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -146,9 +148,10 @@ func TestBlockBits(t *testing.T) {
 	}
 }
 
-// TestBlockCallsWhenEligible: an eligible 30-worker site costs exactly n²
-// calls to the instance's model, all of them filling the block before the
-// solve, and the solve returns the from-scratch assignment.
+// TestBlockCallsWhenEligible: an eligible 30-worker site costs exactly
+// n(n−1) calls to the instance's model, all of them filling the block
+// before the solve (the sub-instance's Subset answers the diagonal
+// itself), and the solve returns the from-scratch assignment.
 func TestBlockCallsWhenEligible(t *testing.T) {
 	ws, ts := site(geo.Pt(0.3, 0.6), 30, 3)
 	base := &countingModel{base: coop.Synthetic{N: len(ws), Seed: 9}}
@@ -161,8 +164,8 @@ func TestBlockCallsWhenEligible(t *testing.T) {
 	if r.Resolved != 1 {
 		t.Fatalf("re-solved %d components, want 1", r.Resolved)
 	}
-	if n := len(ws); base.calls != n*n || s.calls != 0 {
-		t.Fatalf("Solve made %d model calls, %d of them in the solve; want %d, none in the solve", base.calls, s.calls, n*n)
+	if n := len(ws); base.calls != n*(n-1) || s.calls != 0 {
+		t.Fatalf("Solve made %d model calls, %d of them in the solve; want %d, none in the solve", base.calls, s.calls, n*(n-1))
 	}
 	want, _ := scratchSolve(t, 4, ws, ts, 9)
 	if !sameGroups(a, want) {

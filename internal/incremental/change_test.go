@@ -60,7 +60,7 @@ func newChurn(tb testing.TB, stuck int) (*incremental.Engine, func(), *countingM
 		for _, w := range r.In.Workers {
 			ids = append(ids, w.ID)
 		}
-		quality.base = coop.NewSubset(base, ids)
+		quality.base = model.NewSubset(base, ids)
 		r.In.Quality = quality
 		a, err := eng.Solve(ctx, solver)
 		if err != nil {

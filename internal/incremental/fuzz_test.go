@@ -164,7 +164,7 @@ func FuzzIncrementalDirtySet(f *testing.F) {
 			for i, w := range in.Workers {
 				ids[i] = w.ID
 			}
-			in.Quality = coop.NewSubset(base, ids)
+			in.Quality = model.NewSubset(base, ids)
 
 			// Oracle 0: the instance holds the script's population.
 			if !slices.Equal(in.Workers, liveW) {

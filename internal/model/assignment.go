@@ -126,6 +126,21 @@ func (a *Assignment) Pairs() []Pair {
 	return ps
 }
 
+// DispatchedPairs returns what a round dispatches: the pairs of every group
+// reaching in.B by external ID, in task order and member order.
+func (a *Assignment) DispatchedPairs(in *Instance) []Pair {
+	var ps []Pair
+	for t, ws := range a.TaskWorkers {
+		if len(ws) < in.B {
+			continue
+		}
+		for _, w := range ws {
+			ps = append(ps, Pair{Worker: in.Workers[w].ID, Task: in.Tasks[t].ID})
+		}
+	}
+	return ps
+}
+
 // Clone returns a deep copy.
 func (a *Assignment) Clone() *Assignment {
 	c := &Assignment{

@@ -19,9 +19,9 @@ import (
 // otherwise, adding in the same order either way, so every sum keeps its
 // bits.
 type TaskBlocks struct {
-	q   []float64
-	off []int   // task t's block is q[off[t]:off[t+1]], empty when it has none
-	pos [][]int // pos[w][k] is w's position in TaskCand[WorkerCand[w][k]]
+	q     []float64
+	start []int   // task t's block is q[start[t]:][:n²], n = |TaskCand_t|; -1 when it has none
+	pos   [][]int // pos[w][k] is w's position in TaskCand[WorkerCand[w][k]]
 }
 
 // MaxBlockSide is the longest candidate list FillBlocks gives a block. It
@@ -49,26 +49,28 @@ const MaxBlockSide = 512
 func (in *Instance) FillBlocks(ctx context.Context) {
 	nW := len(in.Workers)
 	room := 2*min(in.CoCandidatePairs(), nW*(nW-1)/2) + in.NumValidPairs()
-	off := make([]int, len(in.Tasks)+1)
+	start := make([]int, len(in.Tasks))
+	size := 0
 	for t, c := range in.TaskCand {
 		if !slices.IsSorted(c) {
 			panic("model: FillBlocks over a candidate list that is not ascending")
 		}
-		off[t+1] = off[t]
-		if n := len(c); n <= MaxBlockSide && n*n <= room-off[t] {
-			off[t+1] += n * n
+		start[t] = -1
+		if n := len(c); n > 0 && n <= MaxBlockSide && n*n <= room-size {
+			start[t] = size
+			size += n * n
 		}
 	}
-	q := make([]float64, off[len(in.Tasks)])
+	q := make([]float64, size)
 	bm, _ := in.Quality.(BlockModel)
 	for t, c := range in.TaskCand {
 		if ctx.Err() != nil {
 			return
 		}
-		b := q[off[t]:off[t+1]]
-		if len(b) == 0 {
+		if start[t] < 0 {
 			continue
 		}
+		b := q[start[t] : start[t]+len(c)*len(c)]
 		if bm != nil {
 			bm.QualityBlock(c, b)
 		} else {
@@ -92,7 +94,7 @@ func (in *Instance) FillBlocks(ctx context.Context) {
 			pos[w] = append(pos[w], a)
 		}
 	}
-	in.Blocks = &TaskBlocks{q: q, off: off, pos: pos}
+	in.Blocks = &TaskBlocks{q: q, start: start, pos: pos}
 }
 
 // readPairs sets dst[a·n+b] to m.Quality(ids[a], ids[b]), n = len(ids),
@@ -113,11 +115,12 @@ func (in *Instance) TaskBlock(t int) []float64 {
 	if in.Blocks == nil {
 		return nil
 	}
-	lo, hi := in.Blocks.off[t], in.Blocks.off[t+1]
-	if lo == hi {
+	lo := in.Blocks.start[t]
+	if lo < 0 {
 		return nil
 	}
-	return in.Blocks.q[lo:hi]
+	n := len(in.TaskCand[t])
+	return in.Blocks.q[lo : lo+n*n]
 }
 
 // CandPos returns worker w's position in the list of its k-th candidate

@@ -32,52 +32,20 @@ func (m *SubIndex) Lift(sub, dst *Assignment) {
 	}
 }
 
-// subQuality re-indexes a parent quality model onto sub-instance worker
-// positions, mirroring coop.Subset but at the model layer so SubInstance
-// works with any QualityModel. Like coop.Subset, it is not safe for
-// concurrent QualityBlock calls.
-type subQuality struct {
-	base QualityModel
-	ids  []int
-	g    []int // QualityBlock's parent IDs, reused by the next call
-}
-
-func (s *subQuality) Quality(i, k int) float64 { return s.base.Quality(s.ids[i], s.ids[k]) }
-func (s *subQuality) NumWorkers() int          { return len(s.ids) }
-
-// QualityBlock implements BlockModel, through the parent model's
-// QualityBlock when it has one: ids ascends, so its parent IDs do too.
-// The parent IDs go into one slice, allocated by the first call and
-// reused by the rest.
-func (s *subQuality) QualityBlock(ids []int, dst []float64) {
-	b, ok := s.base.(BlockModel)
-	if !ok {
-		readPairs(s, ids, dst)
-		return
-	}
-	if s.g == nil {
-		s.g = make([]int, len(s.ids)) // ids holds distinct positions
-	}
-	g := s.g[:len(ids)]
-	for x, i := range ids {
-		g[x] = s.ids[i]
-	}
-	b.QualityBlock(g, dst)
-}
-
 // SubInstance extracts the sub-problem induced by the given parent worker
 // and task positions: a dense instance over copies of those workers and
 // tasks with candidate lists sliced to pairs inside the selection, the
-// quality model re-indexed, and B, Now and Travel carried over. The input
-// index sets may be in any order and are canonicalised ascending; the
-// returned SubIndex lifts sub-assignments back to the parent.
+// quality model re-indexed by a Subset, and B, Now and Travel carried
+// over. The input index sets may be in any order and are canonicalised
+// ascending; the returned SubIndex lifts sub-assignments back to the parent.
 //
 // Candidates must have been built on the parent (BuildCandidates); the
 // sub-instance's lists are derived from the parent's rather than recomputed,
 // so the (possibly expensive, possibly stateful) Travel function is never
 // re-invoked. A candidate pair whose other endpoint is outside the selection
 // is dropped — callers partitioning along connected components never lose a
-// pair this way.
+// pair this way, and then the sub-instance shares the parent's task blocks;
+// a selection that drops a pair gets none.
 func (in *Instance) SubInstance(workerIDs, taskIDs []int) (*Instance, *SubIndex) {
 	if in.WorkerCand == nil {
 		panic("model: SubInstance before BuildCandidates")
@@ -92,7 +60,7 @@ func (in *Instance) SubInstance(workerIDs, taskIDs []int) (*Instance, *SubIndex)
 	sub := &Instance{
 		Workers:    make([]Worker, len(wIDs)),
 		Tasks:      make([]Task, len(tIDs)),
-		Quality:    &subQuality{base: in.Quality, ids: wIDs},
+		Quality:    NewSubset(in.Quality, wIDs),
 		B:          in.B,
 		Now:        in.Now,
 		Travel:     in.Travel,
@@ -105,9 +73,12 @@ func (in *Instance) SubInstance(workerIDs, taskIDs []int) (*Instance, *SubIndex)
 	// Every worker list is carved from one backing slice, sized by the
 	// parent lists it filters; taskDeg counts each sub task's candidates
 	// so the task lists can be carved from a second one below.
-	n := 0
+	n, nT := 0, 0
 	for _, w := range wIDs {
 		n += len(in.WorkerCand[w])
+	}
+	for _, t := range tIDs {
+		nT += len(in.TaskCand[t])
 	}
 	wBack := make([]int, 0, n)
 	taskDeg := make([]int, len(tIDs)+1)
@@ -148,6 +119,18 @@ func (in *Instance) SubInstance(workerIDs, taskIDs []int) (*Instance, *SubIndex)
 		for _, j := range cand {
 			sub.TaskCand[j] = append(sub.TaskCand[j], i)
 		}
+	}
+	if in.Blocks != nil && len(wBack) == n && len(wBack) == nT {
+		// Each sub task's list is its parent task's, over the same
+		// workers in the same order, so its block starts where it did.
+		b := &TaskBlocks{q: in.Blocks.q, start: make([]int, len(tIDs)), pos: make([][]int, len(wIDs))}
+		for j, t := range tIDs {
+			b.start[j] = in.Blocks.start[t]
+		}
+		for i, w := range wIDs {
+			b.pos[i] = in.Blocks.pos[w]
+		}
+		sub.Blocks = b
 	}
 	return sub, &SubIndex{WorkerIDs: wIDs, TaskIDs: tIDs}
 }

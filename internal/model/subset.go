@@ -1,31 +1,39 @@
-package coop
+package model
 
 // Subset restricts a quality model to a subset of workers re-indexed
-// densely: local index i maps to global worker IDs[i]. The batch framework
-// uses it to hand each round's sampled workers to the solvers without
-// copying the underlying model.
-//
+// densely: local index i maps to global worker IDs[i]. A round's workers
+// and a sub-instance's (SubInstance) read their qualities through one.
 // Quality is safe for concurrent use when Base's is; QualityBlock is not,
 // since every call maps its IDs into the same scratch slice.
 type Subset struct {
-	Base Model
+	Base QualityModel
 	IDs  []int
 	g    []int // QualityBlock's mapped IDs, reused by the next call
 }
 
 // NewSubset returns a Subset view. It panics if any ID is out of the base
 // model's range.
-func NewSubset(base Model, ids []int) *Subset {
+func NewSubset(base QualityModel, ids []int) *Subset {
 	n := base.NumWorkers()
 	for _, id := range ids {
 		if id < 0 || id >= n {
-			panic("coop: subset ID out of range")
+			panic("model: subset ID out of range")
 		}
 	}
 	return &Subset{Base: base, IDs: ids}
 }
 
-// Quality implements Model.
+// WorkerSubset returns the Subset of base, a model keyed by worker ID,
+// over the given workers: local index i reads base at workers[i].ID.
+func WorkerSubset(base QualityModel, workers []Worker) *Subset {
+	ids := make([]int, len(workers))
+	for i, w := range workers {
+		ids[i] = w.ID
+	}
+	return NewSubset(base, ids)
+}
+
+// Quality implements QualityModel.
 func (s *Subset) Quality(i, k int) float64 {
 	if i == k {
 		return 0
@@ -33,13 +41,12 @@ func (s *Subset) Quality(i, k int) float64 {
 	return s.Base.Quality(s.IDs[i], s.IDs[k])
 }
 
-// QualityBlock implements model.BlockModel. It hands the block to the
-// base model's QualityBlock when the base has one and the mapped IDs
-// ascend, as they do when IDs ascends, and reads it pair by pair otherwise.
-// The mapped IDs go into one slice, allocated by the first call and
-// reused by the rest, so a fill allocates nothing per task.
+// QualityBlock implements BlockModel. It hands the block to the base
+// model's QualityBlock when the base has one and the mapped IDs ascend, as
+// they do when IDs ascends, and reads it pair by pair otherwise. The
+// mapped IDs go into one slice, reused by every call.
 func (s *Subset) QualityBlock(ids []int, dst []float64) {
-	b, ok := s.Base.(blockReader)
+	b, ok := s.Base.(BlockModel)
 	if !ok {
 		readPairs(s, ids, dst)
 		return
@@ -58,5 +65,5 @@ func (s *Subset) QualityBlock(ids []int, dst []float64) {
 	b.QualityBlock(g, dst)
 }
 
-// NumWorkers implements Model.
+// NumWorkers implements QualityModel.
 func (s *Subset) NumWorkers() int { return len(s.IDs) }

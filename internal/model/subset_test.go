@@ -1,9 +1,13 @@
-package coop
+package model
 
-import "testing"
+import (
+	"testing"
+
+	"casc/internal/coop"
+)
 
 func TestSubset(t *testing.T) {
-	m := NewMatrix(5)
+	m := coop.NewMatrix(5)
 	m.Set(1, 3, 0.7)
 	m.Set(3, 4, 0.2)
 	s := NewSubset(m, []int{3, 1, 4})
@@ -30,5 +34,5 @@ func TestSubsetPanicsOnBadID(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewSubset(NewMatrix(2), []int{0, 5})
+	NewSubset(coop.NewMatrix(2), []int{0, 5})
 }

@@ -357,3 +357,13 @@ func Chain(primary assign.Solver, seed int64) []assign.Solver {
 	}
 	return rungs
 }
+
+// NewChainLadder builds the ladder every budgeted or chaos-injected tier
+// solves with: Chain(primary, seed), wrapped by WithChaos when chaos is set.
+func NewChainLadder(cfg Config, primary assign.Solver, seed int64, chaos *ChaosConfig) (*Ladder, error) {
+	rungs := Chain(primary, seed)
+	if chaos != nil {
+		rungs = WithChaos(rungs, *chaos)
+	}
+	return NewLadder(cfg, rungs...)
+}

@@ -116,7 +116,7 @@ func (c *counterfactual) observe(ctx context.Context, round int, now float64, in
 	k := len(c.alternates)
 	d := Decision{
 		Round:       round,
-		ChosenScore: dispatchScore(in, a),
+		ChosenScore: a.TotalScore(in),
 		Alternates:  make([]AlternateScore, 0, k),
 	}
 	best := 0.0
@@ -133,7 +133,7 @@ func (c *counterfactual) observe(ctx context.Context, round int, now float64, in
 		if err := alt.Validate(in); err != nil {
 			return fmt.Errorf("scenario: round %d alternate %q invalid: %w", round, name, err)
 		}
-		score := dispatchScore(in, alt)
+		score := alt.TotalScore(in)
 		c.rep.Solves++
 		c.altTotals[i] += score
 		d.Alternates = append(d.Alternates, AlternateScore{Name: name, Score: score})
@@ -150,14 +150,7 @@ func (c *counterfactual) observe(ctx context.Context, round int, now float64, in
 				Tasks:   len(in.Tasks),
 				Score:   score,
 				Upper:   assign.Upper(in),
-			}
-			for ti, ws := range alt.TaskWorkers {
-				if len(ws) < in.B {
-					continue
-				}
-				for _, wi := range ws {
-					rec.Pairs = append(rec.Pairs, model.Pair{Worker: in.Workers[wi].ID, Task: in.Tasks[ti].ID})
-				}
+				Pairs:   alt.DispatchedPairs(in),
 			}
 			if err := c.tw.Append(rec); err != nil {
 				return err
@@ -178,12 +171,4 @@ func (c *counterfactual) report() *CounterfactualReport {
 	}
 	c.rep.finish()
 	return &c.rep
-}
-
-// dispatchScore is the dispatch-eligible score of an assignment: the sum
-// of group qualities over tasks holding at least B workers — exactly the
-// quantity batch.Run accumulates into BatchStats.Score at dispatch
-// (model.GroupQuality is zero below B, so TotalScore matches).
-func dispatchScore(in *model.Instance, a *model.Assignment) float64 {
-	return a.TotalScore(in)
 }

@@ -12,6 +12,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -87,7 +88,19 @@ type SLOClass struct {
 // specs and event streams instead of allocating without bound.
 const MaxRounds = 1 << 16
 
-// Spec is a complete scenario description, loadable from JSON.
+// Bounds on the rest of a spec, which bound Generate's memory and time:
+// it keeps GridSize² cell weights per process, weighs every cell against
+// each hotspot once and each burst every round, and scans the cells once
+// per arrival. MaxArrivals bounds Rounds × a process's peak rate, Rate ×
+// (1 + diurnal Amplitude) × its burst multipliers above 1.
+const (
+	MaxGridSize, MaxCellRounds = 32, 1 << 22 // Rounds × GridSize² ≤ MaxCellRounds
+	MaxHotspots, MaxBursts     = 64, 16      // per process
+	MaxArrivals                = 1 << 21
+)
+
+// Spec is a complete scenario description, loadable from JSON. Validate
+// holds it to MaxRounds and the bounds above, well clear of every built-in.
 type Spec struct {
 	Name   string `json:"name"`
 	Seed   int64  `json:"seed"`
@@ -183,6 +196,9 @@ func (s Spec) Validate() error {
 	if s.Rounds <= 0 || s.Rounds > MaxRounds {
 		return fmt.Errorf("scenario: rounds = %d, want 1..%d", s.Rounds, MaxRounds)
 	}
+	if s.GridSize < 1 || s.GridSize > MaxGridSize || s.Rounds*s.GridSize*s.GridSize > MaxCellRounds {
+		return fmt.Errorf("scenario: grid size %d, want 1..%d and rounds × cells ≤ %d", s.GridSize, MaxGridSize, MaxCellRounds)
+	}
 	if s.B < 2 {
 		return fmt.Errorf("scenario: B = %d, want ≥ 2", s.B)
 	}
@@ -211,30 +227,36 @@ func (s Spec) Validate() error {
 		if p.Shape <= 0 {
 			return fmt.Errorf("scenario: %s shape %v, want > 0", kind, p.Shape)
 		}
-		if p.Hotspots < 0 {
-			return fmt.Errorf("scenario: %s hotspots %d negative", kind, p.Hotspots)
+		if p.Hotspots < 0 || p.Hotspots > MaxHotspots || len(p.Bursts) > MaxBursts {
+			return fmt.Errorf("scenario: %s has %d hotspots and %d bursts, want 0..%d and ≤ %d", kind, p.Hotspots, len(p.Bursts), MaxHotspots, MaxBursts)
 		}
+		peak := p.Rate
 		if d := p.Diurnal; d != nil {
-			if d.Period <= 0 {
-				return fmt.Errorf("scenario: %s diurnal period %v, want > 0", kind, d.Period)
+			if !(d.Period >= 1) || math.IsInf(d.Period, 0) || math.IsInf(d.Phase, 0) || math.IsNaN(d.Phase) {
+				return fmt.Errorf("scenario: %s diurnal period %v, phase %v: want a finite period ≥ 1 and phase", kind, d.Period, d.Phase)
 			}
-			if d.Amplitude < 0 || d.Amplitude > 1 {
+			if !(d.Amplitude >= 0 && d.Amplitude <= 1) {
 				return fmt.Errorf("scenario: %s diurnal amplitude %v outside [0,1]", kind, d.Amplitude)
 			}
+			peak *= 1 + d.Amplitude
 		}
 		for i, b := range p.Bursts {
 			if b.Round < 0 || b.Multiplier < 0 {
 				return fmt.Errorf("scenario: %s burst %d has negative round or multiplier", kind, i)
 			}
+			peak *= max(1, b.Multiplier)
+		}
+		if !(float64(s.Rounds)*peak <= MaxArrivals) {
+			return fmt.Errorf("scenario: %s peak rate %v over %d rounds exceeds %d arrivals", kind, peak, s.Rounds, MaxArrivals)
 		}
 	}
-	if s.SpeedRange[0] > s.SpeedRange[1] || s.SpeedRange[0] < 0 {
+	if !(0 <= s.SpeedRange[0] && s.SpeedRange[0] <= s.SpeedRange[1]) || math.IsInf(s.SpeedRange[1], 0) {
 		return fmt.Errorf("scenario: bad speed range %v", s.SpeedRange)
 	}
-	if s.RadiusRange[0] > s.RadiusRange[1] || s.RadiusRange[0] < 0 {
+	if !(0 <= s.RadiusRange[0] && s.RadiusRange[0] <= s.RadiusRange[1]) || math.IsInf(s.RadiusRange[1], 0) {
 		return fmt.Errorf("scenario: bad radius range %v", s.RadiusRange)
 	}
-	if s.Deadline <= 0 {
+	if !(s.Deadline > 0) || math.IsInf(s.Deadline, 0) {
 		return fmt.Errorf("scenario: deadline %v, want > 0", s.Deadline)
 	}
 	total := 0.0
@@ -242,13 +264,13 @@ func (s Spec) Validate() error {
 		if c.Name == "" {
 			return fmt.Errorf("scenario: SLO class %d has no name", i)
 		}
-		if c.Share <= 0 {
+		if !(c.Share > 0) {
 			return fmt.Errorf("scenario: SLO class %q share %v, want > 0", c.Name, c.Share)
 		}
-		if c.Deadline <= 0 {
+		if !(c.Deadline > 0) {
 			return fmt.Errorf("scenario: SLO class %q deadline %v, want > 0", c.Name, c.Deadline)
 		}
-		if c.TargetWait < 0 {
+		if !(c.TargetWait >= 0) {
 			return fmt.Errorf("scenario: SLO class %q target wait %v negative", c.Name, c.TargetWait)
 		}
 		total += c.Share

@@ -237,12 +237,9 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 	res.ExpiredTasks = expired
 
 	in := &model.Instance{B: p.b, Now: now, Workers: workers, Tasks: tasks}
-	ids := make([]int, len(workers))
-	for i, w := range workers {
-		ids[i] = w.ID
-	}
 	in.BuildCandidates(model.IndexGrid)
-	in.Quality = coop.NewSubset(p.history, ids)
+	in.Quality = model.WorkerSubset(p.history, workers)
+	Prepare(ctx, in, p.solveBudget)(in)
 	a, exhausted, err := solve(ctx, in)
 	if err != nil {
 		return nil, err
@@ -287,15 +284,8 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 // budget, a resilience ladder over it (solver → TPG → RAND seeded with
 // round), each rung wrapped in chaos injection when chaos is non-nil.
 // The returned solve reports exhausted when no rung delivered within the
-// budget.
-//
-// The returned solve wraps the instance's Quality, the round's model, in
-// the round's memo (see memoize), which the caller's UPPER and dispatch
-// read after it. Without a budget it first fills the instance's task
-// blocks (model.Instance.FillBlocks) from the model, so the solve, UPPER
-// and dispatch read in-task pairs from them. The blocks live as long as
-// the instance, one round. A budgeted solve fills none: no rung's slice
-// would pay for the fill, so it would run past the budget.
+// budget. It changes nothing on the instances it solves; Prepare readies
+// them.
 func NewSolver(name string, seed, round int64, budget time.Duration, chaos *resilience.ChaosConfig, reg *metrics.Registry) (
 	solve func(context.Context, *model.Instance) (a *model.Assignment, exhausted bool, err error), err error) {
 	solver, err := assign.ByName(name, seed)
@@ -305,41 +295,42 @@ func NewSolver(name string, seed, round int64, budget time.Duration, chaos *resi
 	solver = assign.Instrument(solver, reg)
 	if budget <= 0 {
 		return func(ctx context.Context, in *model.Instance) (*model.Assignment, bool, error) {
-			in.FillBlocks(ctx)
-			memoize(in)
 			a, err := solver.Solve(ctx, in)
 			return a, false, err
 		}, nil
 	}
-	rungs := resilience.Chain(solver, round)
-	if chaos != nil {
-		rungs = resilience.WithChaos(rungs, *chaos)
-	}
-	ladder, err := resilience.NewLadder(resilience.Config{Budget: budget, Metrics: reg}, rungs...)
+	ladder, err := resilience.NewChainLadder(resilience.Config{Budget: budget, Metrics: reg}, solver, round, chaos)
 	if err != nil {
 		return nil, err
 	}
 	return func(ctx context.Context, in *model.Instance) (*model.Assignment, bool, error) {
-		memoize(in)
 		a, out := ladder.SolveBudgeted(ctx, in)
 		return a, out.Exhausted, nil
 	}, nil
 }
 
-// memoize wraps in.Quality in the round's memo, sized up front for the
-// pairs the round can read from the model: Σ |TaskCand_t|(|TaskCand_t|−1)/2
-// over the tasks without a block. Every pair a solver, UPPER or dispatch
-// reads shares a task, and a task with a block is read from its block, so
-// the memo never doubles. That is 0 when every task has a block, and
-// CoCandidatePairs for a budgeted solve, which fills none.
-func memoize(in *model.Instance) {
-	pairs := 0
-	for t, c := range in.TaskCand {
-		if in.TaskBlock(t) == nil {
-			pairs += len(c) * (len(c) - 1) / 2
-		}
+// Prepare applies the serving tiers' one quality rule to in, a round's
+// instance, before any solve reads it: without a budget it fills in's task
+// blocks (model.Instance.FillBlocks) for the solves, UPPER and dispatch; a
+// budgeted round fills none, since no rung's slice would pay for it. The
+// returned memoize wraps an instance's Quality in a memo sized for its
+// tasks without a block, Σ |TaskCand_t|(|TaskCand_t|−1)/2 pairs. The
+// platform memoizes in at once; a cluster memoizes each shard's
+// sub-instance and, since coop.Cached is not safe for concurrent use, in
+// only after its shards return.
+func Prepare(ctx context.Context, in *model.Instance, budget time.Duration) (memoize func(*model.Instance)) {
+	if budget <= 0 {
+		in.FillBlocks(ctx)
 	}
-	in.Quality = coop.NewCachedFor(in.Quality, pairs)
+	return func(x *model.Instance) {
+		pairs := 0
+		for t, c := range x.TaskCand {
+			if x.TaskBlock(t) == nil {
+				pairs += len(c) * (len(c) - 1) / 2
+			}
+		}
+		x.Quality = coop.NewCachedFor(x.Quality, pairs)
+	}
 }
 
 // RateTask records the requester's rating s ∈ [0,1] for a dispatched task.

@@ -32,7 +32,7 @@ func (m *countingQuality) NumWorkers() int { return m.base.N }
 // its block reads; its QualityBlock is the Subset's, so blocks read the
 // history's rows.
 type blockCounting struct {
-	*coop.Subset
+	*model.Subset
 	pairs, blocks atomic.Int64
 }
 
@@ -62,13 +62,15 @@ func solveRound() *model.Instance {
 }
 
 // TestSolveReadsOnlyBlocks solves a GT+ALL round through the solve that
-// NewSolver returns, plain and under a budget. Both must return the
-// assignment a solve over the model alone returns; the budgeted solve
-// reads the model through the round's memo, which holds each unordered
-// pair once, so its reference solves over a memo too. The plain solve
-// must call the quality model Σ_t |TaskCand_t|² times, all while filling
-// the task blocks and none after, and leave blocks that hold the model's
-// bits; the budgeted solve must fill no blocks.
+// NewSolver returns, after Prepare, plain and under a budget. The solve
+// alone must leave the instance's model and blocks as it found them. Both
+// prepared solves must return the assignment a solve over the model alone
+// returns; the budgeted solve reads the model through the round's memo,
+// which holds each unordered pair once, so its reference solves over a
+// memo too. The plain round must call the quality model Σ_t |TaskCand_t|²
+// times, all while filling the task blocks and none after, and leave
+// blocks that hold the model's bits; the budgeted round must fill no
+// blocks.
 //
 // Over a History-backed model, where every task has a block, filling,
 // solving, UPPER and scoring the dispatched groups must read the model
@@ -98,7 +100,14 @@ func TestSolveReadsOnlyBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.Quality = m
+		if _, _, err := solve(context.Background(), in); err != nil {
+			t.Fatal(err)
+		}
+		if in.Quality != model.QualityModel(m) || in.Blocks != nil {
+			t.Fatalf("budget %v: the solve changed the instance's model or blocks", budget)
+		}
 		m.calls.Store(0)
+		Prepare(context.Background(), in, budget)(in)
 		a, exhausted, err := solve(context.Background(), in)
 		if err != nil || exhausted {
 			t.Fatalf("budget %v: solve failed (exhausted %v): %v", budget, exhausted, err)
@@ -151,7 +160,7 @@ func TestSolveReadsOnlyBlocks(t *testing.T) {
 			h.RecordGroup([]int{ids[c[x]], ids[c[x+1]], ids[c[x+2]]}, r.Float64())
 		}
 	}
-	in.Quality = coop.NewSubset(h, ids)
+	in.Quality = model.NewSubset(h, ids)
 	ref, err := assign.ByName("GT+ALL", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +175,9 @@ func TestSolveReadsOnlyBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &blockCounting{Subset: coop.NewSubset(h, ids)}
+	m := &blockCounting{Subset: model.NewSubset(h, ids)}
 	in.Quality = m
+	Prepare(context.Background(), in, 0)(in)
 	a, _, err := solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)

@@ -92,6 +92,7 @@ type Config struct {
 type Cluster struct {
 	b           int
 	history     *coop.History
+	quality     model.QualityModel // what rounds read: history (a test counts its reads here)
 	solveBudget time.Duration
 	geom        Geometry
 	router      Policy
@@ -191,6 +192,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if c.clock == nil {
 		c.clock = func() float64 { return float64(c.rounds.Load()) }
 	}
+	c.quality = c.history
 	c.cm.shardsGauge.Set(float64(cfg.K))
 	return c, nil
 }
@@ -359,12 +361,9 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 	// The solve reads the live history: a rating writes only pairs of a
 	// dispatched group, whose workers are in no shard registry from
 	// dispatch until RateTask has recorded it, so no pair of this round's
-	// instance changes while the round runs.
-	ids := make([]int, len(in.Workers))
-	for i, w := range in.Workers {
-		ids[i] = w.ID
-	}
-	in.Quality = coop.NewSubset(c.history, ids)
+	// instance changes while the round runs. The round's one fill is here.
+	in.Quality = model.WorkerSubset(c.quality, in.Workers)
+	memoize := server.Prepare(ctx, in, c.solveBudget)
 	res.Components = len(comps)
 
 	// Phase C: pin each component to the shard owning its lowest cell.
@@ -409,7 +408,7 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 		go func(s int, sh *Shard) {
 			defer wg.Done()
 			results[s], subs[s], exhausted[s], errs[s] =
-				c.solveShard(ctx, sh, solverName, seed, in, pinned[s].workers, pinned[s].tasks)
+				c.solveShard(ctx, sh, solverName, seed, in, memoize, pinned[s].workers, pinned[s].tasks)
 		}(s, sh)
 	}
 	wg.Wait()
@@ -432,7 +431,7 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 			subs[s].Lift(results[s], a)
 		}
 	}
-	in.Quality = coop.NewCachedFor(in.Quality, in.CoCandidatePairs()) // single-threaded from here on
+	memoize(in) // after the shards, whose sub-instances read in.Quality
 	res.Upper = assign.Upper(in)
 
 	// Tasks and groups come in ascending ID order, so the pairs are sorted
@@ -464,7 +463,7 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 				delete(c.workerHome, w.ID)
 			}
 		}
-		score := in.GroupQuality(ws, in.Tasks[ti].Capacity)
+		score := in.TaskQuality(ti, ws)
 		res.Score += score
 		deltas[owner].Score += score
 		deltas[owner].Groups = append(deltas[owner].Groups, g)
@@ -550,7 +549,8 @@ func (c *Cluster) incrementalRound(nowT float64, res *BatchResult) (*model.Insta
 		}
 	}
 	r := c.inc.Plan()
-	return r.In, r.Comps, c.workerHome, c.taskHome
+	in := *r.In // the engine reuses r.In across Plans: keep this round's quality and blocks off it
+	return &in, r.Comps, c.workerHome, c.taskHome
 }
 
 // componentCells returns the lowest cell any of the component's entities
@@ -584,19 +584,14 @@ func (c *Cluster) componentCells(in *model.Instance, comp partition.Component) (
 // solveShard solves one shard's pinned union sub-instance. The sub-instance
 // preserves relative index order (SubInstance canonicalises ascending), so
 // deterministic solvers produce exactly the slice of the monolithic result
-// covering these components. The solve memoizes qualities in a memo of
-// the shard's own (server.NewSolver) — coop.Cached is not safe for
-// concurrent use, and shards solve in parallel. For the same reason the
-// shard reads the history through a Subset of its own, over its workers'
-// IDs: a Subset's QualityBlock reuses one scratch slice.
-func (c *Cluster) solveShard(ctx context.Context, sh *Shard, solverName string, seed int64, in *model.Instance, workers, tasks []int) (*model.Assignment, *model.SubIndex, bool, error) {
+// covering these components. A pinned union is closed under edges, so the
+// sub-instance shares the round's blocks; the solve reads the rest through
+// a memo of the shard's own (memoize) — coop.Cached is not safe for
+// concurrent use, and shards solve in parallel.
+func (c *Cluster) solveShard(ctx context.Context, sh *Shard, solverName string, seed int64, in *model.Instance, memoize func(*model.Instance), workers, tasks []int) (*model.Assignment, *model.SubIndex, bool, error) {
 	t0 := now()
 	sub, idx := in.SubInstance(workers, tasks)
-	ids := make([]int, len(sub.Workers))
-	for i, w := range sub.Workers {
-		ids[i] = w.ID
-	}
-	sub.Quality = coop.NewSubset(c.history, ids)
+	memoize(sub)
 	solve, err := server.NewSolver(solverName, assign.ComponentSeed(seed, sh.id), seed, c.solveBudget, sh.chaos, c.metrics)
 	if err != nil {
 		return nil, nil, false, err
